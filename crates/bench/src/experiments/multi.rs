@@ -7,7 +7,7 @@
 //! alone runs, so reported gains are shared-mode throughput improvements.
 
 use ecdp::system::{core_setup, SystemKind};
-use sim_core::{MachineConfig, MultiMachine, MultiRunStats};
+use sim_core::{Machine, MachineConfig, MultiRunStats};
 use workloads::InputSet;
 
 use crate::table::{f2, pct, Table};
@@ -48,20 +48,14 @@ pub fn run_mix(lab: &Lab, names: &[&str], kind: SystemKind) -> MultiRunStats {
             core_setup(kind, &art)
         })
         .collect();
-    let traces: Vec<sim_core::Trace> = names
+    let cached: Vec<_> = names
         .iter()
-        .map(|n| {
-            // Clone out of the lab cache so the MultiMachine owns its input.
-            let t = lab.trace(n, InputSet::Train);
-            sim_core::Trace {
-                initial_memory: t.initial_memory.clone(),
-                ops: t.ops.clone(),
-                instructions: t.instructions,
-            }
-        })
+        .map(|n| lab.trace(n, InputSet::Train))
         .collect();
-    let mut mm = MultiMachine::new(MachineConfig::default(), setups);
-    mm.run(&traces).expect("multi-core run failed")
+    let traces: Vec<&sim_core::Trace> = cached.iter().map(|t| &**t).collect();
+    Machine::with_cores(MachineConfig::default(), setups)
+        .run_cores(&traces)
+        .expect("multi-core run failed")
 }
 
 /// Alone-run IPCs (single-core, same config, train input); memoised by

@@ -187,12 +187,17 @@ fn transient_deadline_retry_lands_with_attempt_history() {
     let golden_exec = single.run_fault_tolerant(&Lab::new(), 1, &SweepOptions::default());
     let golden = sorted_records(&golden_exec.outcomes);
 
-    // Attempt 1 sleeps 400 ms into a 120 ms deadline and dies; the x1
-    // cap clears the fault so attempt 2 runs clean. The deadline covers
-    // the whole attempt including trace/profile warm-up, so warm those
-    // caches through an unfaulted sibling system first — the supervised
-    // attempts then measure only the injected sleep and the simulation.
-    let faults = FaultPlan::parse("slow@mst:test:stream=400x1").unwrap();
+    // Attempt 1 sleeps past the deadline and dies; the x1 cap clears the
+    // fault so attempt 2 runs clean. The deadline is derived from the
+    // clean cell's measured simulation time, so the clean retry fits on
+    // any host, and the injected sleep always outlasts it. The deadline
+    // covers the whole attempt including trace/profile warm-up, so warm
+    // those caches through an unfaulted sibling system first — the
+    // supervised attempts then measure only the injected sleep and the
+    // simulation.
+    let deadline_ms = ((golden[0].wall_ms * 4.0).ceil() as u64).max(120);
+    let sleep_ms = deadline_ms * 2;
+    let faults = FaultPlan::parse(&format!("slow@mst:test:stream={sleep_ms}x1")).unwrap();
     let lab = Lab::with_faults(faults);
     lab.run_on("mst", InputSet::Test, SystemKind::StreamCdp);
     let exec = single.run_fault_tolerant(
@@ -202,7 +207,7 @@ fn transient_deadline_retry_lands_with_attempt_history() {
             retry: RetryPolicy {
                 max_attempts: 3,
                 backoff_base_ms: 10,
-                deadline_ms: Some(120),
+                deadline_ms: Some(deadline_ms),
             },
             ..SweepOptions::default()
         },

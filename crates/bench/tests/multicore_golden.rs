@@ -1,4 +1,4 @@
-//! Multi-core golden regression: a 4-core MultiMachine running the
+//! Multi-core golden regression: a 4-core machine running the
 //! quad-core smoke mix under the full proposal must reproduce the
 //! checked-in snapshot in `tests/golden/multicore_smoke.json` (repo
 //! root) within tight tolerances. This pins the shared-bus arbitration
@@ -16,7 +16,9 @@ use std::path::PathBuf;
 
 use bench::Lab;
 use ecdp::system::{core_setup, SystemKind};
-use sim_core::{Json, MachineConfig, MultiMachine, MultiRunStats};
+use std::sync::Arc;
+
+use sim_core::{Json, Machine, MachineConfig, MultiRunStats, Trace};
 use workloads::InputSet;
 
 /// The pinned 4-core mix: two pointer-intensive workloads (`mst`,
@@ -30,24 +32,22 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/multicore_smoke.json")
 }
 
+fn smoke_traces(lab: &Lab) -> Vec<Arc<Trace>> {
+    MIX.iter().map(|n| lab.trace(n, InputSet::Test)).collect()
+}
+
+fn borrowed(traces: &[Arc<Trace>]) -> Vec<&Trace> {
+    traces.iter().map(|t| &**t).collect()
+}
+
 fn run_smoke_mix(lab: &Lab) -> MultiRunStats {
     let setups = MIX
         .iter()
         .map(|n| core_setup(KIND, &lab.artifacts(n)))
         .collect();
-    let traces: Vec<sim_core::Trace> = MIX
-        .iter()
-        .map(|n| {
-            let t = lab.trace(n, InputSet::Test);
-            sim_core::Trace {
-                initial_memory: t.initial_memory.clone(),
-                ops: t.ops.clone(),
-                instructions: t.instructions,
-            }
-        })
-        .collect();
-    let mut mm = MultiMachine::new(MachineConfig::default(), setups);
-    mm.run(&traces).expect("multi-core smoke run failed")
+    Machine::with_cores(MachineConfig::default(), setups)
+        .run_cores(&borrowed(&smoke_traces(lab)))
+        .expect("multi-core smoke run failed")
 }
 
 fn stats_doc(stats: &MultiRunStats) -> Json {
@@ -141,7 +141,7 @@ fn quad_core_smoke_matches_golden_snapshot() {
 
 /// Warm-fork variant of the multicore golden: capture a whole-chip
 /// snapshot mid-run (every core plus the shared DRAM system), round it
-/// through the wire format, fork a *fresh* `MultiMachine` from it, and
+/// through the wire format, fork a *fresh* 4-core machine from it, and
 /// require the forked chip to reproduce the checked-in cold golden
 /// byte-for-byte — capture must be a pure read and fork must restore
 /// shared-bus arbitration state exactly.
@@ -156,29 +156,20 @@ fn quad_core_warm_fork_matches_golden_snapshot() {
             .map(|n| core_setup(KIND, &lab.artifacts(n)))
             .collect()
     };
-    let traces: Vec<sim_core::Trace> = MIX
-        .iter()
-        .map(|n| {
-            let t = lab.trace(n, InputSet::Test);
-            sim_core::Trace {
-                initial_memory: t.initial_memory.clone(),
-                ops: t.ops.clone(),
-                instructions: t.instructions,
-            }
-        })
-        .collect();
+    let traces = smoke_traces(&lab);
+    let traces = borrowed(&traces);
 
-    let mut cold = MultiMachine::new(MachineConfig::default(), setups());
+    let mut cold = Machine::with_cores(MachineConfig::default(), setups());
     cold.set_warm_checkpoint(Some(50_000));
-    let cold_stats = cold.run(&traces).expect("cold run");
+    let cold_stats = cold.run_cores(&traces).expect("cold run");
     let snapshot = cold.take_snapshot().expect("run passed the capture point");
 
     // Round-trip the snapshot through the wire format before forking,
     // so the on-disk path is what this golden actually certifies.
     let restored = sim_core::Snapshot::from_bytes(&snapshot.to_bytes()).expect("wire round-trip");
-    let mut forked = MultiMachine::new(MachineConfig::default(), setups());
+    let mut forked = Machine::with_cores(MachineConfig::default(), setups());
     forked.fork_from(&restored).expect("fork accepted");
-    let fork_stats = forked.run(&traces).expect("forked run");
+    let fork_stats = forked.run_cores(&traces).expect("forked run");
 
     // Forked chip == cold chip, bit for bit (identical serialized docs).
     assert_eq!(

@@ -4,8 +4,8 @@
 //! prefetchers, scan filters and throttling policy together and runs a
 //! trace through the result, optionally attaching the observability layer
 //! ([`sim_core::ObsConfig`]) or a [`sim_core::PrefetchObserver`].
-//! Multi-core experiments use [`core_setup`] to get the per-core
-//! equivalent.
+//! Multi-core experiments build one [`core_setup`] per core and hand them
+//! to [`sim_core::Machine::with_cores`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -520,11 +520,7 @@ impl<'a> SystemBuilder<'a> {
             Arc::make_mut(&mut config).oracle_lds = oracle;
         }
         let setup = core_setup(self.kind, self.artifacts.unwrap_or(&empty));
-        let mut machine = Machine::new(config);
-        for p in setup.prefetchers {
-            machine.add_prefetcher(p);
-        }
-        machine.set_throttle(setup.throttle);
+        let mut machine = Machine::with_cores(config, vec![setup]);
         if let Some(observer) = self.observer {
             machine.set_observer(observer);
         }

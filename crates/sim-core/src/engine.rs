@@ -1,8 +1,9 @@
-//! The single-core timing engine.
+//! The timing engine.
 //!
-//! [`Machine`] replays a [`Trace`] through an out-of-order instruction
-//! window attached to an L1/L2/DRAM hierarchy with pluggable prefetchers
-//! and a throttling policy. See the crate docs for the modelling approach.
+//! [`Machine`] replays one [`Trace`] per core through an out-of-order
+//! instruction window attached to a private L1/L2 hierarchy with pluggable
+//! prefetchers and a throttling policy; the cores share the DRAM system.
+//! See the crate docs for the modelling approach.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -15,6 +16,7 @@ use crate::config::MachineConfig;
 use crate::dram::{Dram, DramCompletion, DramRequest};
 use crate::error::{DiagnosticSnapshot, SimError};
 use crate::mshr::MshrFile;
+use crate::multicore::{CoreSetup, MultiRunStats};
 use crate::obs::{
     IntervalObservation, LifecycleEvent, LifecycleStage, ObsCollector, ObsConfig, PrefetcherSample,
     RunTrace, ThrottleTransition,
@@ -27,9 +29,7 @@ use crate::snapshot::{
     config_fingerprint, CoreState, PrefetcherState, SnapReader, SnapWriter, Snapshot, SnapshotError,
 };
 use crate::stats::{PrefetcherStats, RunStats};
-use crate::throttling::{
-    FeedbackCounters, IntervalFeedback, NoThrottle, ThrottleDecision, ThrottlePolicy,
-};
+use crate::throttling::{FeedbackCounters, IntervalFeedback, ThrottleDecision, ThrottlePolicy};
 use crate::trace::{OpKind, OpSource, ResidentOps, Trace, TraceOp, NO_DEP};
 
 const NOT_DONE: u64 = u64::MAX;
@@ -136,12 +136,11 @@ struct PollutionSlot {
     by: PrefetcherId,
 }
 
-/// Per-core microarchitectural state (shared between the single-core
-/// [`Machine`] and the multi-core engine).
-pub(crate) struct CoreSim {
-    pub(crate) core_id: u8,
+/// Per-core microarchitectural state; [`Machine`] drives one per core.
+struct CoreSim {
+    core_id: u8,
     cfg: Arc<MachineConfig>,
-    pub(crate) mem: SimMemory,
+    mem: SimMemory,
     /// Number of ops in the trace this core replays (the op stream itself
     /// is handed to [`CoreSim::step`] each cycle, so a streamed source
     /// never has to be fully resident).
@@ -159,27 +158,27 @@ pub(crate) struct CoreSim {
     /// core's earliest wake-up event for idle-cycle skipping.
     inflight: BinaryHeap<Reverse<(u64, u32)>>,
     l1: Cache,
-    pub(crate) l2: Cache,
-    pub(crate) mshrs: MshrFile,
+    l2: Cache,
+    mshrs: MshrFile,
     pf_queue: VecDeque<PrefetchRequest>,
     /// Reused staging buffer for prefetcher request generation, so the
     /// steady state allocates no per-event `Vec`s.
     pf_scratch: Vec<PrefetchRequest>,
     pollution: Vec<Option<PollutionSlot>>,
     pending_writebacks: VecDeque<Addr>,
-    pub(crate) counters: Vec<FeedbackCounters>,
+    counters: Vec<FeedbackCounters>,
     misses_smoothed: f64,
     cur_misses: u64,
     last_interval_evictions: u64,
-    pub(crate) stats: RunStats,
+    stats: RunStats,
     /// Observability collector; `None` (the default) keeps every hook on
     /// the hot path down to a pointer null-check.
-    pub(crate) obs: Option<Box<ObsCollector>>,
+    obs: Option<Box<ObsCollector>>,
     /// Paper-conformance validator; `None` (the default without the
     /// `validate` feature) keeps the hook down to a pointer null-check,
     /// mirroring `obs`.
-    pub(crate) validate: Option<Box<crate::validate::RuntimeValidator>>,
-    pub(crate) retired_ops: usize,
+    validate: Option<Box<crate::validate::RuntimeValidator>>,
+    retired_ops: usize,
     /// Last cycle with *forward progress*: an instruction retired or an
     /// MSHR drained. Activity without progress (e.g. a prefetcher
     /// spinning against a full queue) does not move this, which is what
@@ -189,7 +188,7 @@ pub(crate) struct CoreSim {
 }
 
 impl CoreSim {
-    pub(crate) fn new(
+    fn new(
         core_id: u8,
         cfg: Arc<MachineConfig>,
         initial_memory: &SimMemory,
@@ -272,7 +271,7 @@ impl CoreSim {
 
     /// Rewinds replay state for another pass over the trace (multi-core
     /// restart), keeping caches, prefetcher state and counters warm.
-    pub(crate) fn rewind(&mut self, initial_memory: &SimMemory) {
+    fn rewind(&mut self, initial_memory: &SimMemory) {
         // Restore from the shared copy-on-write snapshot, reusing this
         // core's page-table allocation (no page data is copied).
         self.mem.clone_from(initial_memory);
@@ -295,11 +294,11 @@ impl CoreSim {
         self.retired_ops = 0;
     }
 
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.retired_ops == self.total_ops
     }
 
-    pub(crate) fn has_pending_writebacks(&self) -> bool {
+    fn has_pending_writebacks(&self) -> bool {
         !self.pending_writebacks.is_empty()
     }
 
@@ -398,7 +397,7 @@ impl CoreSim {
     }
 
     /// Processes DRAM read completions routed to this core.
-    pub(crate) fn apply_completion(
+    fn apply_completion(
         &mut self,
         completion: &DramCompletion,
         now: u64,
@@ -887,7 +886,7 @@ impl CoreSim {
     /// Sends queued memory requests (demand misses wait in the MSHRs; this
     /// pushes them plus writebacks and prefetches into the DRAM buffer).
     /// Returns true if anything was sent.
-    pub(crate) fn issue_to_dram(
+    fn issue_to_dram(
         &mut self,
         dram: &mut Dram,
         now: u64,
@@ -951,7 +950,7 @@ impl CoreSim {
     /// Ends a feedback interval if enough L2 evictions have accumulated,
     /// consulting the throttling policy. `now` and `bus_transfers` (this
     /// core's cumulative transfer count) feed the observability sampler.
-    pub(crate) fn maybe_end_interval(
+    fn maybe_end_interval(
         &mut self,
         prefetchers: &mut [Box<dyn Prefetcher>],
         policy: &mut dyn ThrottlePolicy,
@@ -1103,7 +1102,7 @@ impl CoreSim {
 
     /// Runs one cycle of the core pipeline (after DRAM completions have been
     /// applied). Returns true if any forward progress was made.
-    pub(crate) fn step<O: OpSource>(
+    fn step<O: OpSource>(
         &mut self,
         ops: &mut O,
         now: u64,
@@ -1121,7 +1120,7 @@ impl CoreSim {
     /// Earliest future cycle at which this core can make progress, ignoring
     /// DRAM (the caller merges in `dram.next_event`). `None` when nothing is
     /// pending outside DRAM.
-    pub(crate) fn next_local_event(&self, now: u64) -> Option<u64> {
+    fn next_local_event(&self, now: u64) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut consider = |c: u64| {
             if c != NOT_DONE && c > now {
@@ -1142,12 +1141,7 @@ impl CoreSim {
     /// True if the core has work it could perform on the very next cycle
     /// (used for idle-skip decisions). `dram_full` tells the core whether
     /// the shared request buffer can accept anything.
-    pub(crate) fn has_immediate_work<O: OpSource>(
-        &self,
-        ops: &mut O,
-        now: u64,
-        dram_full: bool,
-    ) -> bool {
+    fn has_immediate_work<O: OpSource>(&self, ops: &mut O, now: u64, dram_full: bool) -> bool {
         if let Some(req) = self.pf_queue.front() {
             let block = block_of(req.addr);
             // A resident target would simply be dropped (progress), and a
@@ -1184,7 +1178,7 @@ impl CoreSim {
     }
 
     /// Captures the state attached to watchdog and deadlock reports.
-    pub(crate) fn snapshot(&self, now: u64, dram: &Dram) -> DiagnosticSnapshot {
+    fn snapshot(&self, now: u64, dram: &Dram) -> DiagnosticSnapshot {
         DiagnosticSnapshot {
             cycle: now,
             core: self.core_id,
@@ -1205,7 +1199,7 @@ impl CoreSim {
     }
 
     /// Last cycle at which an instruction retired or an MSHR drained.
-    pub(crate) fn last_progress(&self) -> u64 {
+    fn last_progress(&self) -> u64 {
         self.last_progress
     }
 
@@ -1222,7 +1216,7 @@ impl CoreSim {
     /// The `completed` array is therefore stored sparsely — the dispatch
     /// cursor plus the entries still in the future — and settled entries
     /// restore as 0, which is behaviorally identical.
-    pub(crate) fn save_warm(&self, now: u64) -> Vec<u8> {
+    fn save_warm(&self, now: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.u64(self.next_dispatch as u64);
         w.u32(self.window.len() as u32);
@@ -1328,7 +1322,7 @@ impl CoreSim {
     /// The obs collector / validator blobs are applied only when the
     /// forked machine has the facility installed; a facility enabled on
     /// the fork but absent at capture starts fresh from the fork point.
-    pub(crate) fn restore_warm(&mut self, cs: &CoreState) -> Result<(), SnapshotError> {
+    fn restore_warm(&mut self, cs: &CoreState) -> Result<(), SnapshotError> {
         // Reuse this core's page-table allocation; pages stay CoW-shared
         // with the snapshot.
         self.mem.clone_from(&cs.mem);
@@ -1549,7 +1543,7 @@ fn read_feedback_counters(r: &mut SnapReader<'_>) -> Result<FeedbackCounters, Sn
 /// Captures every registered prefetcher's name, aggressiveness level and
 /// learned-table blob. The level is captured here, generically, so
 /// stateless prefetchers need no [`Prefetcher::save_state`] override.
-pub(crate) fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec<PrefetcherState> {
+fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec<PrefetcherState> {
     prefetchers
         .iter()
         .map(|p| {
@@ -1566,7 +1560,7 @@ pub(crate) fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec
 
 /// Captures the throttling policy's state (the level slot is unused for
 /// throttles and stored as a fixed placeholder).
-pub(crate) fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
+fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
     let mut w = SnapWriter::new();
     t.save_state(&mut w);
     PrefetcherState {
@@ -1579,7 +1573,7 @@ pub(crate) fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
 /// Restores prefetcher levels and learned tables from captured states.
 /// The caller has already validated registration via
 /// [`check_registration`], so the zip lengths match.
-pub(crate) fn restore_prefetcher_states(
+fn restore_prefetcher_states(
     prefetchers: &mut [Box<dyn Prefetcher>],
     states: &[PrefetcherState],
 ) -> Result<(), SnapshotError> {
@@ -1593,7 +1587,7 @@ pub(crate) fn restore_prefetcher_states(
 }
 
 /// Restores the throttling policy's state from its captured blob.
-pub(crate) fn restore_throttle_state(
+fn restore_throttle_state(
     throttle: &mut dyn ThrottlePolicy,
     state: &PrefetcherState,
 ) -> Result<(), SnapshotError> {
@@ -1603,9 +1597,8 @@ pub(crate) fn restore_throttle_state(
 }
 
 /// Validates that a captured core's prefetcher/throttle registration
-/// matches the forking machine's (shared by [`Machine::fork_from`] and
-/// the multi-core engine).
-pub(crate) fn check_registration(
+/// matches the forking machine's.
+fn check_registration(
     cs: &CoreState,
     prefetchers: &[Box<dyn Prefetcher>],
     throttle: &dyn ThrottlePolicy,
@@ -1649,16 +1642,25 @@ enum IssueOutcome {
 /// coarse enough that `Instant::now` never shows up in a profile.
 pub const WALL_DEADLINE_POLL_ITERS: u32 = 1 << 14;
 
-/// A single-core machine: configuration plus registered prefetchers,
-/// throttling policy and observer.
+/// A chip: one shared DRAM system and data bus plus, per core, a private
+/// L1/L2 hierarchy with its own prefetchers and throttling policy.
 ///
-/// Construct with [`Machine::new`], register prefetchers with
+/// [`Machine::new`] builds a one-core machine: register prefetchers with
 /// [`Machine::add_prefetcher`] (registration order defines
-/// [`PrefetcherId`]s), then call [`Machine::run`].
+/// [`PrefetcherId`]s), then call [`Machine::run`]. [`Machine::with_cores`]
+/// builds an N-core chip from per-core [`CoreSetup`]s, run with
+/// [`Machine::run_cores`]. The per-core setters (prefetchers, throttle,
+/// aggressiveness) address core 0; every other setting applies to the
+/// whole chip.
+///
+/// Both shapes run the same cycle loop. Only the end-of-run rule depends
+/// on the core count: one core drains its in-flight traffic and reports
+/// final statistics, while each of N cores reports the statistics it had
+/// when it first completed its trace and then replays the trace again, so
+/// contention persists until the slowest core is done.
 pub struct Machine {
     config: Arc<MachineConfig>,
-    prefetchers: Vec<Box<dyn Prefetcher>>,
-    throttle: Box<dyn ThrottlePolicy>,
+    cores: Vec<CoreSetup>,
     observer: Option<Box<dyn PrefetchObserver>>,
     cycle_budget: Option<u64>,
     wall_deadline: Option<std::time::Duration>,
@@ -1672,16 +1674,26 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with no prefetchers and no throttling.
+    /// Creates a one-core machine with no prefetchers and no throttling.
     ///
     /// Accepts a plain [`MachineConfig`] or an `Arc<MachineConfig>`;
     /// passing the `Arc` lets sweeps share one config allocation across
     /// every machine they build.
     pub fn new(config: impl Into<Arc<MachineConfig>>) -> Self {
+        Machine::with_cores(config, vec![CoreSetup::bare()])
+    }
+
+    /// Creates a chip with one core per setup, all sharing the DRAM
+    /// system and the configuration (which is shared, not cloned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is empty.
+    pub fn with_cores(config: impl Into<Arc<MachineConfig>>, cores: Vec<CoreSetup>) -> Self {
+        assert!(!cores.is_empty(), "a machine needs at least one core");
         Machine {
             config: config.into(),
-            prefetchers: Vec::new(),
-            throttle: Box::new(NoThrottle),
+            cores,
             observer: None,
             cycle_budget: None,
             wall_deadline: None,
@@ -1714,10 +1726,9 @@ impl Machine {
     }
 
     /// Caps the *wall-clock* time of a run: once `deadline` has elapsed
-    /// since [`Machine::run`] started, the run fails with
-    /// [`SimError::DeadlineExceeded`] carrying a diagnostic snapshot of
-    /// the machine at the kill point. `None` (the default) means
-    /// unlimited.
+    /// since the run started, it fails with [`SimError::DeadlineExceeded`]
+    /// carrying a diagnostic snapshot of the first unfinished core at the
+    /// kill point. `None` (the default) means unlimited.
     ///
     /// The clock is polled at a coarse cadence (every
     /// [`WALL_DEADLINE_POLL_ITERS`] engine iterations), so the check
@@ -1730,20 +1741,23 @@ impl Machine {
         self
     }
 
-    /// Registers a prefetcher; returns its id (registration index).
+    /// Registers a prefetcher on core 0; returns its id (registration
+    /// index).
     pub fn add_prefetcher(&mut self, p: Box<dyn Prefetcher>) -> PrefetcherId {
-        let id = PrefetcherId(self.prefetchers.len() as u8);
-        self.prefetchers.push(p);
+        let prefetchers = &mut self.cores[0].prefetchers;
+        let id = PrefetcherId(prefetchers.len() as u8);
+        prefetchers.push(p);
         id
     }
 
-    /// Installs a throttling policy (default: none).
+    /// Installs core 0's throttling policy (default: none).
     pub fn set_throttle(&mut self, t: Box<dyn ThrottlePolicy>) -> &mut Self {
-        self.throttle = t;
+        self.cores[0].throttle = t;
         self
     }
 
     /// Installs a prefetch observer (e.g. the ECDP profiling collector).
+    /// It sees the prefetch events of every core.
     pub fn set_observer(&mut self, o: Box<dyn PrefetchObserver>) -> &mut Self {
         self.observer = Some(o);
         self
@@ -1754,8 +1768,9 @@ impl Machine {
         self.observer.take()
     }
 
-    /// Enables observability collection for subsequent runs. Pass a
-    /// config with no classes enabled (the default) to turn it back off.
+    /// Enables observability collection on every core for subsequent
+    /// runs. Pass a config with no classes enabled (the default) to turn
+    /// it back off.
     pub fn set_obs(&mut self, cfg: ObsConfig) -> &mut Self {
         self.obs_config = cfg.any().then_some(cfg);
         self
@@ -1769,22 +1784,27 @@ impl Machine {
     /// [`SimError::InvariantViolation`] after it completes; the checks
     /// themselves never perturb simulation state, so a validated run's
     /// statistics are bit-identical to an unvalidated one's.
+    ///
+    /// Every core is checked at its interval boundaries. Only a one-core
+    /// run also gets the exact end-of-run decomposition: N-core
+    /// statistics are snapshotted mid-flight while rewound cores keep
+    /// generating contention, so it does not apply there.
     pub fn set_validate(&mut self, cfg: crate::validate::ValidateConfig) -> &mut Self {
         self.validate_config = Some(cfg);
         self
     }
 
-    /// Sets every registered prefetcher's aggressiveness level (e.g. to
-    /// pin a static level for differential experiments; the default is
-    /// each prefetcher's own initial level).
+    /// Sets every prefetcher of core 0 to `level` (e.g. to pin a static
+    /// level for differential experiments; the default is each
+    /// prefetcher's own initial level).
     pub fn set_initial_aggressiveness(&mut self, level: Aggressiveness) -> &mut Self {
-        for p in &mut self.prefetchers {
+        for p in &mut self.cores[0].prefetchers {
             p.set_aggressiveness(level);
         }
         self
     }
 
-    /// Sets one prefetcher's aggressiveness level by registration index
+    /// Sets one of core 0's prefetchers to `level` by registration index
     /// (for differential experiments over mixed static-level corners).
     ///
     /// # Panics
@@ -1795,7 +1815,7 @@ impl Machine {
         index: usize,
         level: Aggressiveness,
     ) -> &mut Self {
-        self.prefetchers[index].set_aggressiveness(level);
+        self.cores[0].prefetchers[index].set_aggressiveness(level);
         self
     }
 
@@ -1805,11 +1825,12 @@ impl Machine {
         self.run_trace.take()
     }
 
-    /// Arms warm-state capture: the next [`Machine::run`] records a
-    /// [`Snapshot`] at the first *visited* cycle at or past `cycles`
-    /// (retrieve it with [`Machine::take_snapshot`]). Capture is a pure
-    /// read of machine state, so a run with a checkpoint armed is
-    /// bit-identical to one without. `None` disarms.
+    /// Arms warm-state capture: the next run records a [`Snapshot`] of
+    /// every core plus the shared DRAM system at the first *visited*
+    /// cycle at or past `cycles` (retrieve it with
+    /// [`Machine::take_snapshot`]). Capture is a pure read of machine
+    /// state, so a run with a checkpoint armed is bit-identical to one
+    /// without. `None` disarms.
     pub fn set_warm_checkpoint(&mut self, cycles: Option<u64>) -> &mut Self {
         self.warm_cycles = cycles;
         self
@@ -1822,23 +1843,24 @@ impl Machine {
         self.captured.take()
     }
 
-    /// Arms the next [`Machine::run`] to resume from `snapshot` instead
-    /// of simulating warmup cold. Single-shot: the run consumes the armed
-    /// snapshot; fork again to replay from it once more. The forked run
-    /// must replay the **same trace** the snapshot was captured on (the
-    /// checkpoint is keyed per (workload, input) upstream; a different
-    /// trace of the same length silently diverges).
+    /// Arms the next run to resume from `snapshot` instead of simulating
+    /// warmup cold. Single-shot: the run consumes the armed snapshot;
+    /// fork again to replay from it once more. The forked run must replay
+    /// the **same traces** the snapshot was captured on (the checkpoint
+    /// is keyed per (workload, input) upstream; a different trace of the
+    /// same length silently diverges).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::SnapshotRejected`] when the snapshot is not
-    /// single-core, was captured under a different configuration
-    /// (fingerprint mismatch), or its prefetcher/throttle registration
-    /// does not match this machine's.
+    /// Returns [`SimError::SnapshotRejected`] when the snapshot's core
+    /// count differs from this machine's, it was captured under a
+    /// different configuration (fingerprint mismatch), or any core's
+    /// prefetcher/throttle registration does not match.
     pub fn fork_from(&mut self, snapshot: &Snapshot) -> Result<&mut Self, SimError> {
-        if snapshot.cores.len() != 1 || !snapshot.finished.is_empty() {
+        let n = self.cores.len();
+        if snapshot.cores.len() != n || snapshot.finished.len() != n {
             return Err(SimError::SnapshotRejected(format!(
-                "single-core machine cannot fork a {}-core multi-machine snapshot",
+                "{n}-core machine cannot fork a {}-core snapshot",
                 snapshot.cores.len()
             )));
         }
@@ -1849,48 +1871,57 @@ impl Machine {
                 snapshot.config_fp
             )));
         }
-        check_registration(
-            &snapshot.cores[0],
-            &self.prefetchers,
-            self.throttle.as_ref(),
-            0,
-        )?;
+        for (c, (cs, setup)) in snapshot.cores.iter().zip(&self.cores).enumerate() {
+            check_registration(cs, &setup.prefetchers, setup.throttle.as_ref(), c)?;
+        }
         self.resume = Some(snapshot.clone());
         Ok(self)
     }
 
-    /// Reads the complete machine state into a [`Snapshot`]. Pure read:
+    /// Reads the complete chip state into a [`Snapshot`]. Pure read:
     /// simulation state is untouched (memory pages are CoW-shared).
-    fn capture(&self, now: u64, core: &CoreSim, dram: &Dram) -> Snapshot {
+    fn capture(
+        &self,
+        now: u64,
+        sims: &[CoreSim],
+        dram: &Dram,
+        finished: &[Option<RunStats>],
+    ) -> Snapshot {
         Snapshot {
             cycle: now,
             config_fp: config_fingerprint(&self.config),
-            cores: vec![CoreState {
-                mem: Arc::new(core.mem.clone()),
-                core: core.save_warm(now),
-                prefetchers: save_prefetcher_states(&self.prefetchers),
-                throttle: save_throttle_state(self.throttle.as_ref()),
-            }],
+            cores: sims
+                .iter()
+                .zip(&self.cores)
+                .map(|(sim, setup)| CoreState {
+                    mem: Arc::new(sim.mem.clone()),
+                    core: sim.save_warm(now),
+                    prefetchers: save_prefetcher_states(&setup.prefetchers),
+                    throttle: save_throttle_state(setup.throttle.as_ref()),
+                })
+                .collect(),
             dram: dram.save_state(),
-            finished: Vec::new(),
-            bus_at_start: Vec::new(),
+            finished: finished.to_vec(),
         }
     }
 
-    /// Applies an armed snapshot to the freshly built `core` and `dram`,
-    /// returning the cycle to resume at.
+    /// Applies an armed snapshot to the freshly built cores and `dram`,
+    /// restoring the per-core first-completion statistics into
+    /// `finished`. Returns the cycle to resume at.
     fn resume_from(
         &mut self,
         snap: &Snapshot,
-        core: &mut CoreSim,
+        sims: &mut [CoreSim],
         dram: &mut Dram,
-    ) -> Result<u64, SimError> {
-        let rej = |e: SnapshotError| SimError::SnapshotRejected(e.to_string());
-        let cs = &snap.cores[0];
-        core.restore_warm(cs).map_err(rej)?;
-        restore_prefetcher_states(&mut self.prefetchers, &cs.prefetchers).map_err(rej)?;
-        restore_throttle_state(self.throttle.as_mut(), &cs.throttle).map_err(rej)?;
-        dram.restore_state(&snap.dram).map_err(rej)?;
+        finished: &mut Vec<Option<RunStats>>,
+    ) -> Result<u64, SnapshotError> {
+        for ((cs, sim), setup) in snap.cores.iter().zip(sims).zip(&mut self.cores) {
+            sim.restore_warm(cs)?;
+            restore_prefetcher_states(&mut setup.prefetchers, &cs.prefetchers)?;
+            restore_throttle_state(setup.throttle.as_mut(), &cs.throttle)?;
+        }
+        dram.restore_state(&snap.dram)?;
+        finished.clone_from(&snap.finished);
         Ok(snap.cycle)
     }
 
@@ -1899,12 +1930,13 @@ impl Machine {
         &self.config
     }
 
-    /// Access to a registered prefetcher (for post-run inspection).
+    /// Access to one of core 0's prefetchers (for post-run inspection).
     pub fn prefetcher(&self, id: PrefetcherId) -> &dyn Prefetcher {
-        self.prefetchers[id.0 as usize].as_ref()
+        self.cores[0].prefetchers[id.0 as usize].as_ref()
     }
 
-    /// Replays `trace` to completion and returns the run statistics.
+    /// Replays `trace` on a one-core machine to completion and returns
+    /// the run statistics.
     ///
     /// # Errors
     ///
@@ -1917,8 +1949,12 @@ impl Machine {
     /// and [`SimError::InvariantViolation`] if the post-run drain loop
     /// fails to converge. The error carries a [`DiagnosticSnapshot`] of
     /// the stuck core where applicable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has more than one core.
     pub fn run(&mut self, trace: &Trace) -> Result<RunStats, SimError> {
-        self.run_inner(&trace.initial_memory, &mut ResidentOps(&trace.ops))
+        self.run_one(&trace.initial_memory, &mut ResidentOps(&trace.ops))
     }
 
     /// Replays an externally recorded trace streamed from disk in bounded
@@ -1936,116 +1972,212 @@ impl Machine {
     /// already-validated trace file panic with the file context (the open
     /// path validates framing up front, so this only happens when the
     /// file changes or vanishes underneath a run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has more than one core.
     pub fn run_streamed(
         &mut self,
         trace: &mut crate::stream::ExternalTrace,
     ) -> Result<RunStats, SimError> {
         let (initial_memory, ops) = trace.replay_parts();
-        self.run_inner(initial_memory, ops)
+        self.run_one(initial_memory, ops)
     }
 
-    fn run_inner<O: OpSource>(
+    /// Runs one trace per core until every core has completed its trace
+    /// at least once. Each core's statistics are snapshotted when it
+    /// first completes; it then restarts its trace with warm caches so
+    /// that shared-bus contention persists until the slowest core is
+    /// done. On a one-core machine this is [`Machine::run`] with the
+    /// result wrapped.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Machine::run`]; diagnostic snapshots describe the
+    /// first core that has not completed its trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traces.len()` differs from the core count.
+    pub fn run_cores(&mut self, traces: &[&Trace]) -> Result<MultiRunStats, SimError> {
+        let mems: Vec<&SimMemory> = traces.iter().map(|t| &t.initial_memory).collect();
+        let mut ops: Vec<ResidentOps<'_>> = traces.iter().map(|t| ResidentOps(&t.ops)).collect();
+        self.run_chip(&mems, &mut ops)
+    }
+
+    fn run_one<O: OpSource>(
         &mut self,
         initial_memory: &SimMemory,
         ops: &mut O,
     ) -> Result<RunStats, SimError> {
-        let total_ops = ops.total_ops();
-        let mut core = CoreSim::new(
-            0,
-            Arc::clone(&self.config),
-            initial_memory,
-            total_ops,
-            self.prefetchers.len(),
-            self.resume.is_some(),
-        );
-        if let Some(cfg) = &self.obs_config {
-            core.obs = Some(Box::new(ObsCollector::new(*cfg)));
-        }
-        if self.validate_config.is_some() {
-            core.validate = crate::validate::runtime_validator_for(self.validate_config.as_ref());
-        }
+        let mut run = self.run_chip(&[initial_memory], std::slice::from_mut(ops))?;
+        self.run_trace = run.traces.pop();
+        Ok(run.per_core.pop().expect("one core"))
+    }
+
+    /// Lends the observer to [`Machine::drive`] and puts it back however
+    /// the run ends. A one-core machine gets its own instance of the loop
+    /// in which the core count is the constant 1, so every per-core loop
+    /// in the cycle body compiles down to straight-line code for core 0.
+    fn run_chip<O: OpSource>(
+        &mut self,
+        mems: &[&SimMemory],
+        ops: &mut [O],
+    ) -> Result<MultiRunStats, SimError> {
+        assert_eq!(ops.len(), self.cores.len(), "one trace per core");
         self.run_trace = None;
-        let mut dram = Dram::new(self.config.dram.clone(), 1);
-        let mut observer: Box<dyn PrefetchObserver> = self
+        let mut observer = self
             .observer
             .take()
             .unwrap_or_else(|| Box::new(crate::prefetcher::NullObserver));
+        let result = if self.cores.len() == 1 {
+            self.drive::<O, true>(mems, ops, observer.as_mut())
+        } else {
+            self.drive::<O, false>(mems, ops, observer.as_mut())
+        };
+        self.observer = Some(observer);
+        result
+    }
 
+    /// The simulation loop, for any number of cores. `ONE` is set exactly
+    /// when the machine has one core (see [`Machine::run_chip`]).
+    fn drive<O: OpSource, const ONE: bool>(
+        &mut self,
+        mems: &[&SimMemory],
+        ops: &mut [O],
+        observer: &mut dyn PrefetchObserver,
+    ) -> Result<MultiRunStats, SimError> {
+        let n = if ONE { 1 } else { self.cores.len() };
+        let ops = &mut ops[..n];
+        let mut sims: Vec<CoreSim> = (0..n)
+            .map(|c| {
+                let mut sim = CoreSim::new(
+                    c as u8,
+                    Arc::clone(&self.config),
+                    mems[c],
+                    ops[c].total_ops(),
+                    self.cores[c].prefetchers.len(),
+                    self.resume.is_some(),
+                );
+                if let Some(cfg) = &self.obs_config {
+                    sim.obs = Some(Box::new(ObsCollector::new(*cfg)));
+                }
+                if self.validate_config.is_some() {
+                    sim.validate =
+                        crate::validate::runtime_validator_for(self.validate_config.as_ref());
+                }
+                sim
+            })
+            .collect();
+        let sims = &mut sims[..n];
+        let mut dram = Dram::new(self.config.dram.clone(), n as u32);
+        // Per-core statistics at first completion (N-core end rule).
+        let mut finished: Vec<Option<RunStats>> = vec![None; n];
+        let mut now: u64 = 0;
         self.captured = None;
+        if let Some(snap) = self.resume.take() {
+            now = self
+                .resume_from(&snap, sims, &mut dram, &mut finished)
+                .map_err(|e| SimError::SnapshotRejected(e.to_string()))?;
+        }
+        let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);
         let wall = self
             .wall_deadline
             .map(|limit| (std::time::Instant::now(), limit));
         let mut wall_poll: u32 = 0;
-        let mut now: u64 = 0;
-        if let Some(snap) = self.resume.take() {
-            match self.resume_from(&snap, &mut core, &mut dram) {
-                Ok(cycle) => now = cycle,
-                Err(e) => {
-                    self.observer = Some(observer);
-                    return Err(e);
-                }
-            }
-        }
-        let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);
-        while !core.finished() {
-            // Warm-state capture: a pure read of machine state at the top
-            // of the loop, before this cycle's DRAM tick, so an armed
+
+        // Failures are blamed on the first core that has not completed its
+        // trace (rewound cores count as done).
+        let blame = |sims: &[CoreSim], finished: &[Option<RunStats>], now: u64, dram: &Dram| {
+            let c = finished
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or_default();
+            sims[c].snapshot(now, dram)
+        };
+
+        while sims
+            .iter()
+            .zip(&finished)
+            .any(|(sim, first)| first.is_none() && !sim.finished())
+        {
+            // Warm-state capture: a pure read of chip state at the top of
+            // the loop, before this cycle's DRAM tick, so an armed
             // checkpoint never perturbs the run and a forked machine
             // re-enters the loop at exactly this point.
             if now >= capture_at {
                 capture_at = u64::MAX;
-                let snap = self.capture(now, &core, &dram);
-                self.captured = Some(snap);
+                self.captured = Some(self.capture(now, sims, &dram, &finished));
             }
             let mut activity = false;
             for completion in dram.tick(now) {
-                core.apply_completion(completion, now, &mut self.prefetchers, observer.as_mut());
+                let c = completion.request.core as usize;
+                sims[c].apply_completion(completion, now, &mut self.cores[c].prefetchers, observer);
                 activity = true;
             }
-            activity |= core.step(
-                ops,
-                now,
-                &mut dram,
-                &mut self.prefetchers,
-                observer.as_mut(),
-            );
-            activity |= core.issue_to_dram(&mut dram, now, observer.as_mut());
-            core.maybe_end_interval(
-                &mut self.prefetchers,
-                self.throttle.as_mut(),
-                now,
-                dram.bus_transfers(),
-                dram.bus_busy_slack(),
-            );
+            // Rotate core service order for fairness.
+            for k in 0..n {
+                let c = (k + now as usize) % n;
+                let (sim, setup) = (&mut sims[c], &mut self.cores[c]);
+                activity |= sim.step(
+                    &mut ops[c],
+                    now,
+                    &mut dram,
+                    &mut setup.prefetchers,
+                    observer,
+                );
+                activity |= sim.issue_to_dram(&mut dram, now, observer);
+                sim.maybe_end_interval(
+                    &mut setup.prefetchers,
+                    setup.throttle.as_mut(),
+                    now,
+                    dram.bus_transfers_for(c as u8),
+                    dram.bus_busy_slack(),
+                );
+                if n > 1 && sim.finished() {
+                    if finished[c].is_none() {
+                        finished[c] = Some(core_stats(
+                            sim.stats.clone(),
+                            now,
+                            c,
+                            &dram,
+                            self.config.dram.bus_transfer_cycles,
+                            &setup.prefetchers,
+                        ));
+                    }
+                    // Restart the trace to keep generating contention
+                    // (unless everyone is done).
+                    if finished.iter().any(Option::is_none) {
+                        sim.rewind(mems[c]);
+                    }
+                }
+            }
 
-            // Watchdog: cycling without retiring or draining an MSHR for
-            // the deadlock budget is a livelock even if "activity" (e.g.
-            // prefetch churn) never ceases.
-            if now.saturating_sub(core.last_progress()) >= self.config.deadlock_cycles {
-                self.observer = Some(observer);
-                return Err(SimError::Deadlock(core.snapshot(now, &dram)));
+            // Watchdog: if *no* core retired or drained an MSHR within the
+            // deadlock budget, the chip is livelocked even if "activity"
+            // (e.g. prefetch churn) never ceases.
+            let newest_progress = sims.iter().map(CoreSim::last_progress).max().unwrap_or(0);
+            if now.saturating_sub(newest_progress) >= self.config.deadlock_cycles {
+                return Err(SimError::Deadlock(blame(sims, &finished, now, &dram)));
             }
             if let Some(budget) = self.cycle_budget {
                 if now >= budget {
-                    self.observer = Some(observer);
                     return Err(SimError::CycleBudgetExceeded {
                         budget,
-                        snapshot: core.snapshot(now, &dram),
+                        snapshot: blame(sims, &finished, now, &dram),
                     });
                 }
             }
             // Wall-clock deadline, polled coarsely so `Instant::now`
-            // stays off the hot path: on overrun the watchdog captures
-            // the diagnostic snapshot and kills the run.
+            // stays off the hot path.
             if let Some((started, limit)) = wall {
                 wall_poll += 1;
                 if wall_poll >= WALL_DEADLINE_POLL_ITERS {
                     wall_poll = 0;
                     if started.elapsed() >= limit {
-                        self.observer = Some(observer);
                         return Err(SimError::DeadlineExceeded {
                             deadline_ms: limit.as_millis() as u64,
-                            snapshot: core.snapshot(now, &dram),
+                            snapshot: blame(sims, &finished, now, &dram),
                         });
                     }
                 }
@@ -2057,47 +2189,85 @@ impl Machine {
             }
             // Idle: skip to the next event (or crawl there one cycle at a
             // time under the reference stepper — same visited events).
-            if core.has_immediate_work(ops, now, dram.is_full()) {
+            let dram_full = dram.is_full();
+            if sims
+                .iter()
+                .zip(ops.iter_mut())
+                .any(|(sim, ops)| sim.has_immediate_work(ops, now, dram_full))
+            {
                 now += 1;
                 continue;
             }
-            let mut next = core.next_local_event(now);
-            if let Some(d) = dram.next_event(now) {
-                next = Some(next.map_or(d, |n| n.min(d)));
-            }
+            let next = sims
+                .iter()
+                .filter_map(|sim| sim.next_local_event(now))
+                .chain(dram.next_event(now))
+                .min();
             match next {
-                Some(n) => now = if self.no_skip { now + 1 } else { n },
-                None => {
-                    // Fully quiescent with unfinished work: nothing is in
-                    // flight anywhere, so no future cycle can change
-                    // state. Report the deadlock immediately instead of
-                    // idling through the whole watchdog budget.
-                    self.observer = Some(observer);
-                    return Err(SimError::Deadlock(core.snapshot(now, &dram)));
-                }
+                Some(e) => now = if self.no_skip { now + 1 } else { e },
+                // Fully quiescent with unfinished work: nothing is in
+                // flight anywhere, so no future cycle can change state.
+                // Report the deadlock immediately instead of idling
+                // through the whole watchdog budget.
+                None => return Err(SimError::Deadlock(blame(sims, &finished, now, &dram))),
             }
         }
 
+        let per_core = if n == 1 {
+            vec![self.finish_one_core(&mut sims[0], &mut dram, now, observer)?]
+        } else {
+            for sim in sims.iter_mut() {
+                if let Some(v) = sim.validate.take() {
+                    v.into_error()?;
+                }
+            }
+            finished.into_iter().flatten().collect()
+        };
+        let traces = if self.obs_config.is_some() {
+            sims.iter_mut()
+                .map(|s| s.obs.take().map(|o| o.into_trace()).unwrap_or_default())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Ok(MultiRunStats {
+            per_core,
+            total_bus_transfers: dram.bus_transfers(),
+            traces,
+        })
+    }
+
+    /// The one-core end rule: drains in-flight traffic, resolves resident
+    /// prefetches as unused, runs the exact end-of-run validation and
+    /// reports the final statistics. `end_cycles` is the cycle the core
+    /// completed at.
+    fn finish_one_core(
+        &mut self,
+        core: &mut CoreSim,
+        dram: &mut Dram,
+        end_cycles: u64,
+        observer: &mut dyn PrefetchObserver,
+    ) -> Result<RunStats, SimError> {
+        let prefetchers = &mut self.cores[0].prefetchers;
         // Drain in-flight misses and writebacks so bandwidth counters see
         // the traffic the workload generated (stores retire before their
         // RFO fills arrive). IPC uses the pre-drain cycle count.
-        let end_cycles = now;
+        let mut now = end_cycles;
         let drain_deadline = now + self.config.deadlock_cycles;
         while core.mshrs.occupied() > 0 || core.has_pending_writebacks() || dram.occupancy() > 0 {
             for completion in dram.tick(now) {
-                core.apply_completion(completion, now, &mut self.prefetchers, observer.as_mut());
+                core.apply_completion(completion, now, prefetchers, observer);
             }
-            core.issue_to_dram(&mut dram, now, observer.as_mut());
+            core.issue_to_dram(dram, now, observer);
             now = if self.no_skip {
                 now + 1
             } else {
                 dram.next_event(now).unwrap_or(now + 1)
             };
             if now >= drain_deadline {
-                self.observer = Some(observer);
                 return Err(SimError::InvariantViolation(format!(
                     "post-run drain did not converge: {}",
-                    core.snapshot(now, &dram)
+                    core.snapshot(now, dram)
                 )));
             }
         }
@@ -2118,40 +2288,54 @@ impl Machine {
         }
 
         if let Some(v) = core.validate.take() {
-            if let Err(e) = v.finish(
+            v.finish(
                 &core.stats,
                 now,
                 dram.bus_transfers(),
                 self.config.dram.bus_transfer_cycles,
-            ) {
-                self.observer = Some(observer);
-                return Err(e);
-            }
+            )?;
         }
 
-        self.observer = Some(observer);
-        if let Some(o) = core.obs.take() {
-            self.run_trace = Some(o.into_trace());
-        }
-        let mut stats = std::mem::take(&mut core.stats);
-        stats.cycles = end_cycles.max(1);
-        stats.bus_transfers = dram.bus_transfers();
-        stats.bus_busy_cycles = stats.bus_transfers * self.config.dram.bus_transfer_cycles;
+        let mut stats = core_stats(
+            std::mem::take(&mut core.stats),
+            end_cycles,
+            0,
+            dram,
+            self.config.dram.bus_transfer_cycles,
+            prefetchers,
+        );
         let (rh, rc) = dram.row_stats();
         stats.dram_row_hits = rh;
         stats.dram_row_conflicts = rc;
-        for (i, p) in self.prefetchers.iter().enumerate() {
-            stats.prefetchers[i].name = p.name().to_string();
-        }
         Ok(stats)
     }
+}
+
+/// Completes a core's raw statistics with the chip-level fields: its run
+/// length, its share of the bus traffic so far and its prefetcher names.
+fn core_stats(
+    mut stats: RunStats,
+    cycles: u64,
+    core: usize,
+    dram: &Dram,
+    bus_transfer_cycles: u64,
+    prefetchers: &[Box<dyn Prefetcher>],
+) -> RunStats {
+    stats.cycles = cycles.max(1);
+    stats.bus_transfers = dram.bus_transfers_for(core as u8);
+    stats.bus_busy_cycles = stats.bus_transfers * bus_transfer_cycles;
+    for (s, p) in stats.prefetchers.iter_mut().zip(prefetchers) {
+        s.name = p.name().to_string();
+    }
+    stats
 }
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("prefetchers", &self.prefetchers.len())
-            .field("throttle", &self.throttle.name())
+            .field("cores", &self.cores.len())
+            .field("prefetchers", &self.cores[0].prefetchers.len())
+            .field("throttle", &self.cores[0].throttle.name())
             .finish()
     }
 }

@@ -1,8 +1,8 @@
 //! Structured simulation failures.
 //!
 //! The engine never aborts the process on a wedged model any more: the
-//! run loops in [`crate::Machine::run`] and
-//! [`crate::MultiMachine::run`] return a [`SimError`] carrying a
+//! run loop behind [`crate::Machine::run`] and
+//! [`crate::Machine::run_cores`] returns a [`SimError`] carrying a
 //! [`DiagnosticSnapshot`] of the stuck core, so a sweep harness can
 //! record the failure, keep the remaining cells going, and print enough
 //! state to debug the wedge (ROB head, MSHR occupancy, DRAM queue

@@ -77,7 +77,7 @@ pub use dram::Dram;
 pub use engine::Machine;
 pub use error::{DiagnosticSnapshot, ErrorClass, SimError};
 pub use json::Json;
-pub use multicore::{CoreSetup, MultiMachine, MultiRunStats};
+pub use multicore::{CoreSetup, MultiRunStats};
 pub use obs::{
     IntervalSample, LifecycleEvent, LifecycleStage, ObsCollector, ObsConfig, PrefetcherSample,
     RunTrace, ThrottleTransition, OBS_SCHEMA_VERSION,

@@ -1,27 +1,20 @@
-//! Multi-core simulation: private L1/L2/prefetchers per core, shared memory
-//! request buffer, DRAM banks and data bus.
+//! Per-core setup and results for multi-core chips.
 //!
-//! Methodology follows the paper's multi-core experiments: every core runs
-//! its own workload; when a core finishes its trace its statistics are
-//! snapshotted and the core *restarts* the trace (with warm caches) so that
+//! A [`crate::Machine`] built with [`crate::Machine::with_cores`] gives each
+//! core a private L1/L2 and its own prefetchers and throttling policy, and
+//! shares the memory request buffer, DRAM banks and data bus. Methodology
+//! follows the paper's multi-core experiments: every core runs its own
+//! workload; when a core finishes its trace its statistics are snapshotted
+//! and the core *restarts* the trace (with warm caches) so that
 //! memory-system contention persists until the slowest core completes.
 
-use crate::dram::Dram;
-use crate::engine::{
-    check_registration, restore_prefetcher_states, restore_throttle_state, save_prefetcher_states,
-    save_throttle_state, CoreSim,
-};
-use crate::error::SimError;
-use crate::obs::{ObsCollector, ObsConfig, RunTrace};
-use crate::prefetcher::{NullObserver, Prefetcher};
-use crate::snapshot::{config_fingerprint, CoreState, Snapshot, SnapshotError};
+use crate::obs::RunTrace;
+use crate::prefetcher::Prefetcher;
 use crate::stats::RunStats;
 use crate::throttling::{NoThrottle, ThrottlePolicy};
-use crate::trace::{ResidentOps, Trace};
-use crate::MachineConfig;
-use std::sync::Arc;
 
-/// Per-core prefetcher + throttling configuration for [`MultiMachine`].
+/// Per-core prefetcher + throttling configuration for
+/// [`crate::Machine::with_cores`].
 pub struct CoreSetup {
     /// Prefetchers, registration order = [`crate::PrefetcherId`].
     pub prefetchers: Vec<Box<dyn Prefetcher>>,
@@ -48,15 +41,16 @@ impl std::fmt::Debug for CoreSetup {
 }
 
 /// Results of a multi-core run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiRunStats {
     /// Per-core statistics, snapshotted when each core first completed its
-    /// trace.
+    /// trace (a one-core run reports its final, drained statistics).
     pub per_core: Vec<RunStats>,
-    /// Total bus transfers across all cores during the measured region.
+    /// Total bus transfers across all cores over the whole run, including
+    /// the restarts of cores that completed early.
     pub total_bus_transfers: u64,
     /// Per-core observability traces (empty unless enabled with
-    /// [`MultiMachine::set_obs`]; one entry per core otherwise).
+    /// [`crate::Machine::set_obs`]; one entry per core otherwise).
     pub traces: Vec<RunTrace>,
 }
 
@@ -99,355 +93,14 @@ impl MultiRunStats {
     }
 }
 
-/// A chip multiprocessor: N cores with private cache hierarchies sharing the
-/// DRAM system.
-pub struct MultiMachine {
-    config: Arc<MachineConfig>,
-    cores: Vec<CoreSetup>,
-    obs_config: Option<ObsConfig>,
-    validate_config: Option<crate::validate::ValidateConfig>,
-    warm_cycles: Option<u64>,
-    wall_deadline: Option<std::time::Duration>,
-    captured: Option<Snapshot>,
-    resume: Option<Snapshot>,
-}
-
-impl MultiMachine {
-    /// Creates a multi-core machine from per-core setups. The configuration
-    /// is shared (not cloned) across all cores.
-    pub fn new(config: impl Into<Arc<MachineConfig>>, cores: Vec<CoreSetup>) -> Self {
-        MultiMachine {
-            config: config.into(),
-            cores,
-            obs_config: None,
-            validate_config: None,
-            warm_cycles: None,
-            wall_deadline: None,
-            captured: None,
-            resume: None,
-        }
-    }
-
-    /// Caps the wall-clock time of a run, mirroring
-    /// [`crate::Machine::set_wall_deadline`]: on overrun the run fails
-    /// with [`SimError::DeadlineExceeded`] carrying a diagnostic
-    /// snapshot of the first unfinished core. `None` disarms.
-    pub fn set_wall_deadline(&mut self, deadline: Option<std::time::Duration>) -> &mut Self {
-        self.wall_deadline = deadline;
-        self
-    }
-
-    /// Enables observability collection on every core for subsequent runs.
-    pub fn set_obs(&mut self, cfg: ObsConfig) -> &mut Self {
-        self.obs_config = cfg.any().then_some(cfg);
-        self
-    }
-
-    /// Opts every core into (or out of) the paper-conformance runtime
-    /// invariants, mirroring [`crate::Machine::set_validate`]. Only the
-    /// interval-boundary checks run here: per-core statistics are
-    /// snapshotted mid-flight while rewound cores keep generating
-    /// contention, so the end-of-run exact decomposition does not apply.
-    pub fn set_validate(&mut self, cfg: crate::validate::ValidateConfig) -> &mut Self {
-        self.validate_config = Some(cfg);
-        self
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Arms warm-state capture, mirroring
-    /// [`crate::Machine::set_warm_checkpoint`]: the next
-    /// [`MultiMachine::run`] records a [`Snapshot`] of every core plus the
-    /// shared DRAM system at the first visited cycle at or past `cycles`.
-    /// Capture is a pure read; `None` disarms.
-    pub fn set_warm_checkpoint(&mut self, cycles: Option<u64>) -> &mut Self {
-        self.warm_cycles = cycles;
-        self
-    }
-
-    /// Removes and returns the snapshot captured by the most recent run.
-    pub fn take_snapshot(&mut self) -> Option<Snapshot> {
-        self.captured.take()
-    }
-
-    /// Arms the next [`MultiMachine::run`] to resume from `snapshot`.
-    /// Single-shot, and the forked run must replay the **same traces** the
-    /// snapshot was captured on (see [`crate::Machine::fork_from`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::SnapshotRejected`] when the snapshot's core
-    /// count differs from this machine's, was captured under a different
-    /// configuration (fingerprint mismatch), or any core's
-    /// prefetcher/throttle registration does not match.
-    pub fn fork_from(&mut self, snapshot: &Snapshot) -> Result<&mut Self, SimError> {
-        let n = self.cores.len();
-        if snapshot.cores.len() != n
-            || snapshot.finished.len() != n
-            || snapshot.bus_at_start.len() != n
-        {
-            return Err(SimError::SnapshotRejected(format!(
-                "{n}-core machine cannot fork a {}-core snapshot",
-                snapshot.cores.len()
-            )));
-        }
-        let fp = config_fingerprint(&self.config);
-        if snapshot.config_fp != fp {
-            return Err(SimError::SnapshotRejected(format!(
-                "configuration fingerprint {fp:#018x} != snapshot {:#018x}",
-                snapshot.config_fp
-            )));
-        }
-        for (c, (cs, setup)) in snapshot.cores.iter().zip(&self.cores).enumerate() {
-            check_registration(cs, &setup.prefetchers, setup.throttle.as_ref(), c)?;
-        }
-        self.resume = Some(snapshot.clone());
-        Ok(self)
-    }
-
-    /// Runs one trace per core until every core has completed its trace at
-    /// least once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] (with a diagnostic snapshot of the
-    /// first unfinished core) when no core makes forward progress for the
-    /// configured `deadlock_cycles`, or when the whole chip goes
-    /// quiescent with unfinished work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces.len()` differs from the core count.
-    pub fn run(&mut self, traces: &[Trace]) -> Result<MultiRunStats, SimError> {
-        assert_eq!(traces.len(), self.cores.len(), "one trace per core");
-        let n = self.cores.len();
-        let mut dram = Dram::new(self.config.dram.clone(), n as u32);
-        let mut sims: Vec<CoreSim> = (0..n)
-            .map(|i| {
-                CoreSim::new(
-                    i as u8,
-                    Arc::clone(&self.config),
-                    &traces[i].initial_memory,
-                    traces[i].ops.len(),
-                    self.cores[i].prefetchers.len(),
-                    self.resume.is_some(),
-                )
-            })
-            .collect();
-        if let Some(cfg) = &self.obs_config {
-            for sim in &mut sims {
-                sim.obs = Some(Box::new(ObsCollector::new(*cfg)));
-            }
-        }
-        if self.validate_config.is_some() {
-            for sim in &mut sims {
-                sim.validate =
-                    crate::validate::runtime_validator_for(self.validate_config.as_ref());
-            }
-        }
-        let mut observer = NullObserver;
-        let mut snapshots: Vec<Option<RunStats>> = vec![None; n];
-        let mut bus_at_start: Vec<u64> = vec![0; n];
-        let mut now: u64 = 0;
-        self.captured = None;
-        if let Some(snap) = self.resume.take() {
-            let rej = |e: SnapshotError| SimError::SnapshotRejected(e.to_string());
-            for (c, cs) in snap.cores.iter().enumerate() {
-                sims[c].restore_warm(cs).map_err(rej)?;
-                restore_prefetcher_states(&mut self.cores[c].prefetchers, &cs.prefetchers)
-                    .map_err(rej)?;
-                restore_throttle_state(self.cores[c].throttle.as_mut(), &cs.throttle)
-                    .map_err(rej)?;
-            }
-            dram.restore_state(&snap.dram).map_err(rej)?;
-            snapshots.clone_from(&snap.finished);
-            bus_at_start.clone_from(&snap.bus_at_start);
-            now = snap.cycle;
-        }
-        let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);
-        let wall = self
-            .wall_deadline
-            .map(|limit| (std::time::Instant::now(), limit));
-        let mut wall_poll: u32 = 0;
-
-        // Attribute a wedge to the first core that has not completed its
-        // trace (rewound cores count as finished for blame purposes).
-        let stuck_core_error =
-            |sims: &[CoreSim], snapshots: &[Option<RunStats>], now, dram: &Dram| {
-                let c = snapshots
-                    .iter()
-                    .position(Option::is_none)
-                    .unwrap_or_default();
-                SimError::Deadlock(sims[c].snapshot(now, dram))
-            };
-
-        while snapshots.iter().any(Option::is_none) {
-            // Warm-state capture: a pure read of chip state at the top of
-            // the loop, before this cycle's DRAM tick (same phase the
-            // single-core engine captures at).
-            if now >= capture_at {
-                capture_at = u64::MAX;
-                let snap = Snapshot {
-                    cycle: now,
-                    config_fp: config_fingerprint(&self.config),
-                    cores: (0..n)
-                        .map(|c| CoreState {
-                            mem: Arc::new(sims[c].mem.clone()),
-                            core: sims[c].save_warm(now),
-                            prefetchers: save_prefetcher_states(&self.cores[c].prefetchers),
-                            throttle: save_throttle_state(self.cores[c].throttle.as_ref()),
-                        })
-                        .collect(),
-                    dram: dram.save_state(),
-                    finished: snapshots.clone(),
-                    bus_at_start: bus_at_start.clone(),
-                };
-                self.captured = Some(snap);
-            }
-            let mut activity = false;
-            for completion in dram.tick(now) {
-                if completion.request.is_write {
-                    continue;
-                }
-                let c = completion.request.core as usize;
-                sims[c].apply_completion(
-                    completion,
-                    now,
-                    &mut self.cores[c].prefetchers,
-                    &mut observer,
-                );
-                activity = true;
-            }
-            // Rotate core service order for fairness.
-            for k in 0..n {
-                let c = (k + (now as usize)) % n;
-                let mut ops = ResidentOps(&traces[c].ops);
-                activity |= sims[c].step(
-                    &mut ops,
-                    now,
-                    &mut dram,
-                    &mut self.cores[c].prefetchers,
-                    &mut observer,
-                );
-                activity |= sims[c].issue_to_dram(&mut dram, now, &mut observer);
-                let core = &mut self.cores[c];
-                sims[c].maybe_end_interval(
-                    &mut core.prefetchers,
-                    core.throttle.as_mut(),
-                    now,
-                    dram.bus_transfers_for(c as u8),
-                    dram.bus_busy_slack(),
-                );
-                if sims[c].finished() {
-                    if snapshots[c].is_none() {
-                        let mut s = sims[c].stats.clone();
-                        s.cycles = now.max(1);
-                        s.bus_transfers = dram.bus_transfers_for(c as u8) - bus_at_start[c];
-                        s.bus_busy_cycles = s.bus_transfers * self.config.dram.bus_transfer_cycles;
-                        for (i, p) in self.cores[c].prefetchers.iter().enumerate() {
-                            s.prefetchers[i].name = p.name().to_string();
-                        }
-                        snapshots[c] = Some(s);
-                    }
-                    // Restart the trace to keep generating contention
-                    // (unless everyone is done).
-                    if snapshots.iter().any(Option::is_none) {
-                        sims[c].rewind(&traces[c].initial_memory);
-                    }
-                }
-            }
-
-            // Watchdog: if *no* core retired or drained an MSHR within the
-            // deadlock budget, the chip is livelocked even if prefetch
-            // churn keeps "activity" alive.
-            let newest_progress = sims.iter().map(CoreSim::last_progress).max().unwrap_or(0);
-            if now.saturating_sub(newest_progress) >= self.config.deadlock_cycles {
-                return Err(stuck_core_error(&sims, &snapshots, now, &dram));
-            }
-            // Wall-clock deadline, polled at the same coarse cadence as
-            // the single-core engine (see `WALL_DEADLINE_POLL_ITERS`).
-            if let Some((started, limit)) = wall {
-                wall_poll += 1;
-                if wall_poll >= crate::engine::WALL_DEADLINE_POLL_ITERS {
-                    wall_poll = 0;
-                    if started.elapsed() >= limit {
-                        let c = snapshots
-                            .iter()
-                            .position(Option::is_none)
-                            .unwrap_or_default();
-                        return Err(SimError::DeadlineExceeded {
-                            deadline_ms: limit.as_millis() as u64,
-                            snapshot: sims[c].snapshot(now, &dram),
-                        });
-                    }
-                }
-            }
-
-            if activity {
-                now += 1;
-                continue;
-            }
-            let dram_full = dram.is_full();
-            if sims.iter().enumerate().any(|(c, s)| {
-                s.has_immediate_work(&mut ResidentOps(&traces[c].ops), now, dram_full)
-            }) {
-                now += 1;
-            } else {
-                let mut next: Option<u64> = None;
-                for s in &sims {
-                    if let Some(e) = s.next_local_event(now) {
-                        next = Some(next.map_or(e, |n: u64| n.min(e)));
-                    }
-                }
-                if let Some(d) = dram.next_event(now) {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-                match next {
-                    Some(e) => now = e,
-                    // Fully quiescent with unfinished cores: no future
-                    // event can change state — report immediately.
-                    None => return Err(stuck_core_error(&sims, &snapshots, now, &dram)),
-                }
-            }
-        }
-        let _ = bus_at_start;
-
-        for sim in &mut sims {
-            if let Some(v) = sim.validate.take() {
-                v.into_error()?;
-            }
-        }
-
-        let traces = if self.obs_config.is_some() {
-            sims.iter_mut()
-                .map(|s| s.obs.take().map(|o| o.into_trace()).unwrap_or_default())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(MultiRunStats {
-            per_core: snapshots.into_iter().flatten().collect(),
-            total_bus_transfers: dram.bus_transfers(),
-            traces,
-        })
-    }
-}
-
-impl std::fmt::Debug for MultiMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiMachine")
-            .field("cores", &self.cores.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBuilder;
+    use crate::error::SimError;
+    use crate::obs::ObsConfig;
+    use crate::snapshot::Snapshot;
+    use crate::trace::{Trace, TraceBuilder};
+    use crate::{Machine, MachineConfig};
     use sim_mem::{layout, SimMemory};
 
     fn stream_trace(len: u32, base_off: u32) -> Trace {
@@ -462,10 +115,10 @@ mod tests {
     #[test]
     fn two_cores_complete() {
         let cfg = MachineConfig::default();
-        let mut mm = MultiMachine::new(cfg, vec![CoreSetup::bare(), CoreSetup::bare()]);
+        let mut mm = Machine::with_cores(cfg, vec![CoreSetup::bare(), CoreSetup::bare()]);
         let t0 = stream_trace(500, 0);
         let t1 = stream_trace(500, 0x100_0000);
-        let r = mm.run(&[t0, t1]).expect("run");
+        let r = mm.run_cores(&[&t0, &t1]).expect("run");
         assert_eq!(r.per_core.len(), 2);
         for s in &r.per_core {
             assert_eq!(s.retired_instructions, 500 * 5);
@@ -478,10 +131,10 @@ mod tests {
     fn contention_slows_cores_down() {
         let cfg = MachineConfig::default();
         let alone = {
-            let mut m = crate::Machine::new(cfg.clone());
+            let mut m = Machine::new(cfg.clone());
             m.run(&stream_trace(500, 0)).expect("run")
         };
-        let mut mm = MultiMachine::new(
+        let mut mm = Machine::with_cores(
             cfg,
             vec![
                 CoreSetup::bare(),
@@ -491,7 +144,9 @@ mod tests {
             ],
         );
         let traces: Vec<Trace> = (0..4).map(|i| stream_trace(500, i * 0x100_0000)).collect();
-        let r = mm.run(&traces).expect("run");
+        let r = mm
+            .run_cores(&traces.iter().collect::<Vec<_>>())
+            .expect("run");
         // With four cores sharing the bus, at least one core must be slower
         // than running alone.
         assert!(
@@ -503,16 +158,18 @@ mod tests {
     #[test]
     fn forked_multicore_run_matches_cold_run() {
         let cfg = MachineConfig::default();
-        let traces: Vec<Trace> = (0..2).map(|i| stream_trace(400, i * 0x100_0000)).collect();
-        let mut cold = MultiMachine::new(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
+        let t0 = stream_trace(400, 0);
+        let t1 = stream_trace(400, 0x100_0000);
+        let traces = [&t0, &t1];
+        let mut cold = Machine::with_cores(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
         cold.set_obs(ObsConfig::enabled());
-        let base = cold.run(&traces).expect("run");
+        let base = cold.run_cores(&traces).expect("run");
 
-        let mut warm = MultiMachine::new(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
+        let mut warm = Machine::with_cores(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
         warm.set_obs(ObsConfig::enabled());
         let warm_at = base.per_core.iter().map(|s| s.cycles).max().expect("cores") / 2;
         warm.set_warm_checkpoint(Some(warm_at));
-        let unperturbed = warm.run(&traces).expect("run");
+        let unperturbed = warm.run_cores(&traces).expect("run");
         assert_eq!(
             base.per_core, unperturbed.per_core,
             "capture is a pure read"
@@ -522,23 +179,49 @@ mod tests {
         // Round-trip through the wire format, then fork a fresh machine.
         let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("decode");
 
-        let mut fork = MultiMachine::new(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
+        let mut fork = Machine::with_cores(cfg.clone(), vec![CoreSetup::bare(), CoreSetup::bare()]);
         fork.set_obs(ObsConfig::enabled());
         fork.fork_from(&snap).expect("fork");
-        let stats = fork.run(&traces).expect("forked run");
+        let stats = fork.run_cores(&traces).expect("forked run");
         assert_eq!(base.per_core, stats.per_core, "forked run is bit-identical");
         assert_eq!(base.total_bus_transfers, stats.total_bus_transfers);
         assert_eq!(base.traces, stats.traces);
 
-        // Core-count mismatch is rejected eagerly.
-        let mut wrong = MultiMachine::new(cfg, vec![CoreSetup::bare()]);
-        let err = wrong.fork_from(&snap).expect_err("core count mismatch");
-        assert_eq!(err.kind(), "snapshot-rejected");
-        // And a multi-core snapshot cannot fork a single-core machine.
-        let err = crate::Machine::new(MachineConfig::default())
+        // Core-count mismatch is rejected eagerly, in both directions.
+        let err = Machine::new(cfg.clone())
             .fork_from(&snap)
-            .expect_err("multi snapshot into single-core machine");
+            .expect_err("2-core snapshot into a one-core machine");
         assert_eq!(err.kind(), "snapshot-rejected");
+        let mut one = Machine::new(cfg.clone());
+        one.set_warm_checkpoint(Some(100));
+        one.run(&t0).expect("run");
+        let one_snap = one.take_snapshot().expect("snapshot");
+        let err = Machine::with_cores(cfg, vec![CoreSetup::bare(), CoreSetup::bare()])
+            .fork_from(&one_snap)
+            .expect_err("one-core snapshot into a 2-core machine");
+        assert_eq!(err.kind(), "snapshot-rejected");
+    }
+
+    #[test]
+    fn cycle_budget_fails_a_multicore_run() {
+        let t0 = stream_trace(500, 0);
+        let t1 = stream_trace(500, 0x100_0000);
+        let mut mm = Machine::with_cores(
+            MachineConfig::default(),
+            vec![CoreSetup::bare(), CoreSetup::bare()],
+        );
+        mm.set_cycle_budget(Some(1_000));
+        match mm.run_cores(&[&t0, &t1]) {
+            Err(SimError::CycleBudgetExceeded { budget, snapshot }) => {
+                assert_eq!(budget, 1_000);
+                assert!(snapshot.cycle >= 1_000);
+                assert!(snapshot.retired_ops < snapshot.total_ops);
+            }
+            other => panic!("expected CycleBudgetExceeded, got {other:?}"),
+        }
+        // Without the budget the same chip completes.
+        mm.set_cycle_budget(None);
+        assert_eq!(mm.run_cores(&[&t0, &t1]).expect("run").per_core.len(), 2);
     }
 
     #[test]

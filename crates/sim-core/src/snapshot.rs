@@ -1,6 +1,6 @@
-//! Warm-state checkpointing: capture a mid-run [`crate::Machine`] (or
-//! [`crate::MultiMachine`]) into a [`Snapshot`] and fork new runs from it
-//! without re-simulating warmup.
+//! Warm-state checkpointing: capture a mid-run [`crate::Machine`] (every
+//! core plus the shared DRAM system) into a [`Snapshot`] and fork new runs
+//! from it without re-simulating warmup.
 //!
 //! A sweep re-runs every (workload, input) pair under several system
 //! variants; each variant re-simulates an identical warmup phase. A
@@ -44,7 +44,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ECDPSNAP";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Payload schema version: bumped when any serialized structure changes.
-pub const SNAPSHOT_SCHEMA: u32 = 1;
+pub const SNAPSHOT_SCHEMA: u32 = 2;
 
 /// A structured snapshot decode/validation failure.
 ///
@@ -393,10 +393,10 @@ pub struct Snapshot {
     pub(crate) config_fp: u64,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) dram: Vec<u8>,
-    /// Multicore only: per-core finished-run stats captured so far.
+    /// Per-core first-completion stats captured so far (one entry per
+    /// core; always `None` on a one-core machine, which reports at the
+    /// end of the run instead).
     pub(crate) finished: Vec<Option<RunStats>>,
-    /// Multicore only: per-core bus-transfer baseline at last (re)start.
-    pub(crate) bus_at_start: Vec<u64>,
 }
 
 impl Snapshot {
@@ -405,7 +405,7 @@ impl Snapshot {
         self.cycle
     }
 
-    /// Number of cores captured (1 for [`crate::Machine`] snapshots).
+    /// Number of cores captured.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
     }
@@ -444,10 +444,6 @@ impl Snapshot {
                     write_run_stats(&mut w, stats);
                 }
             }
-        }
-        w.u32(self.bus_at_start.len() as u32);
-        for &b in &self.bus_at_start {
-            w.u64(b);
         }
         let payload = w.into_bytes();
 
@@ -544,14 +540,6 @@ impl Snapshot {
                 None
             });
         }
-        let num_bus = p.u32()? as usize;
-        if num_bus > 1024 {
-            return Err(SnapshotError::Malformed(format!("{num_bus} bus baselines")));
-        }
-        let mut bus_at_start = Vec::with_capacity(num_bus);
-        for _ in 0..num_bus {
-            bus_at_start.push(p.u64()?);
-        }
         p.finish()?;
         Ok(Snapshot {
             cycle,
@@ -559,7 +547,6 @@ impl Snapshot {
             cores,
             dram,
             finished,
-            bus_at_start,
         })
     }
 }
@@ -716,7 +703,6 @@ mod tests {
             }],
             dram: vec![0xAA, 0xBB],
             finished: vec![None, Some(RunStats::default())],
-            bus_at_start: vec![3, 4],
         }
     }
 
@@ -738,7 +724,6 @@ mod tests {
         assert_eq!(back.cores[0].throttle.name, "coordinated");
         assert_eq!(back.dram, snap.dram);
         assert_eq!(back.finished, snap.finished);
-        assert_eq!(back.bus_at_start, snap.bus_at_start);
         assert_eq!(back.cores[0].mem.read_u32(0x4000_0000), 0xdead_beef);
         assert_eq!(back.cores[0].mem.read_u32(0x5000_0008), 42);
         // Re-encoding the decoded snapshot is byte-stable.

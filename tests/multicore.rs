@@ -5,7 +5,7 @@
 
 use ecdp::profile::profile_workload;
 use ecdp::system::{core_setup, CompilerArtifacts, SystemBuilder, SystemKind};
-use sim_core::{MachineConfig, MultiMachine, Trace};
+use sim_core::{Machine, MachineConfig, Trace};
 use workloads::{registry, InputSet};
 
 /// Thin shim over [`SystemBuilder`] keeping the older call shape used
@@ -29,14 +29,6 @@ fn artifacts(trace: &Trace) -> CompilerArtifacts {
     CompilerArtifacts::from_profile(&profile_workload(trace))
 }
 
-fn clone_trace(t: &Trace) -> Trace {
-    Trace {
-        initial_memory: t.initial_memory.clone(),
-        ops: t.ops.clone(),
-        instructions: t.instructions,
-    }
-}
-
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds")]
 fn sharing_the_bus_slows_both_cores() {
@@ -51,14 +43,14 @@ fn sharing_the_bus_slows_both_cores() {
         .expect("run")
         .ipc();
 
-    let mut mm = MultiMachine::new(
+    let mut mm = Machine::with_cores(
         MachineConfig::default(),
         vec![
             core_setup(SystemKind::StreamOnly, &a0),
             core_setup(SystemKind::StreamOnly, &a1),
         ],
     );
-    let shared = mm.run(&[clone_trace(&t0), clone_trace(&t1)]).expect("run");
+    let shared = mm.run_cores(&[&t0, &t1]).expect("run");
     assert!(shared.per_core[0].ipc() <= alone0 * 1.01);
     assert!(shared.per_core[1].ipc() <= alone1 * 1.01);
     let ws = shared.weighted_speedup(&[alone0, alone1]);
@@ -85,11 +77,11 @@ fn proposal_helps_a_pointer_intensive_pair() {
     ];
 
     let run_pair = |kind: SystemKind| {
-        let mut mm = MultiMachine::new(
+        let mut mm = Machine::with_cores(
             MachineConfig::default(),
             vec![core_setup(kind, &a0), core_setup(kind, &a1)],
         );
-        mm.run(&[clone_trace(&t0), clone_trace(&t1)]).expect("run")
+        mm.run_cores(&[&t0, &t1]).expect("run")
     };
     let base = run_pair(SystemKind::StreamOnly);
     let ours = run_pair(SystemKind::StreamEcdpThrottled);
@@ -107,14 +99,14 @@ fn four_cores_complete_and_account_bus_traffic() {
     let names = ["mst", "libquantum", "omnetpp", "sjeng"];
     let traces: Vec<Trace> = names.iter().map(|n| train_trace(n)).collect();
     let arts: Vec<CompilerArtifacts> = traces.iter().map(artifacts).collect();
-    let mut mm = MultiMachine::new(
+    let mut mm = Machine::with_cores(
         MachineConfig::default(),
         arts.iter()
             .map(|a| core_setup(SystemKind::StreamEcdpThrottled, a))
             .collect(),
     );
     let r = mm
-        .run(&traces.iter().map(clone_trace).collect::<Vec<_>>())
+        .run_cores(&traces.iter().collect::<Vec<_>>())
         .expect("run");
     assert_eq!(r.per_core.len(), 4);
     let per_core_sum: u64 = r.per_core.iter().map(|s| s.bus_transfers).sum();

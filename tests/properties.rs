@@ -268,7 +268,7 @@ proptest! {
 // The event-skipping clock must be an invisible optimisation: running the
 // same trace on the cycle-by-cycle reference stepper has to reproduce the
 // statistics (and the interval time series) byte for byte, across
-// randomized machine shapes, workloads and system assemblies.
+// randomized machine shapes, workloads, system assemblies and core counts.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -307,38 +307,48 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn skip_ahead_matches_reference_on_assembled_systems(
         workload_idx in 0usize..3,
         system_idx in 0usize..3,
         interval_evictions in 64u64..512,
+        chip_idx in 0usize..3,
     ) {
-        use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind};
+        use ecdp::system::{core_setup, CompilerArtifacts, SystemBuilder, SystemKind};
         use sim_core::ObsConfig;
 
-        let workload = ["mst", "health", "libquantum"][workload_idx];
+        const WORKLOADS: [&str; 3] = ["mst", "health", "libquantum"];
         let system = [
             SystemKind::StreamOnly,
             SystemKind::StreamCdp,
             SystemKind::StreamEcdpThrottled,
         ][system_idx];
-        let trace = workloads::registry::lookup(workload)
-            .expect("workload")
-            .generate(workloads::InputSet::Test);
         let artifacts = CompilerArtifacts::empty();
         // Shrink the interval so the short test input crosses several
         // sampling boundaries — boundaries are skip targets, so this
         // exercises the interval-as-event path.
         let cfg = MachineConfig { interval_evictions, ..MachineConfig::default() };
         let obs = ObsConfig { timeseries: true, decisions: true, ..ObsConfig::default() };
+        // Every case checks the one-core system on the first trace; most
+        // also check a 2- or 4-core chip of it, where core c replays the
+        // workload after core c-1's so the cores contend on the shared bus
+        // with different access streams.
+        let cores = [1usize, 2, 4][chip_idx];
+        let traces: Vec<sim_core::Trace> = (0..cores)
+            .map(|c| {
+                workloads::registry::lookup(WORKLOADS[(workload_idx + c) % WORKLOADS.len()])
+                    .expect("workload")
+                    .generate(workloads::InputSet::Test)
+            })
+            .collect();
         let run = |no_skip: bool| {
             SystemBuilder::new(system)
                 .artifacts(&artifacts)
                 .config(cfg.clone())
                 .observe(obs)
                 .reference_stepping(no_skip)
-                .run(&trace)
+                .run(&traces[0])
                 .expect("run")
         };
         let skipping = run(false);
@@ -347,6 +357,25 @@ proptest! {
         let skip_ts = skipping.trace.expect("trace").timeseries_json().to_string_pretty();
         let ref_ts = reference.trace.expect("trace").timeseries_json().to_string_pretty();
         prop_assert_eq!(skip_ts, ref_ts, "timeseries.json must be byte-identical");
+        if cores > 1 {
+            let run = |no_skip: bool| {
+                let setups = (0..cores).map(|_| core_setup(system, &artifacts)).collect();
+                let mut chip = Machine::with_cores(cfg.clone(), setups);
+                chip.set_obs(obs).set_reference_stepping(no_skip);
+                chip.run_cores(&traces.iter().collect::<Vec<_>>()).expect("run")
+            };
+            let skipping = run(false);
+            let reference = run(true);
+            prop_assert_eq!(skipping.traces.len(), cores);
+            for (s, r) in skipping.traces.iter().zip(&reference.traces) {
+                prop_assert_eq!(
+                    s.timeseries_json().to_string_pretty(),
+                    r.timeseries_json().to_string_pretty(),
+                    "per-core timeseries.json must be byte-identical"
+                );
+            }
+            prop_assert_eq!(skipping, reference);
+        }
     }
 }
 
