@@ -39,14 +39,15 @@
 //!    reported inline in the output instead of aborting the report.
 //!
 //! The process exits 0 only if every sweep cell and every section
-//! succeeded; any failure exits 1 (usage errors — including conflicting
-//! configuration sources — exit 2).
+//! succeeded; any failure exits 1 (usage errors — including an invalid
+//! `--config` document — exit 2).
 //!
 //! Configuration resolves through one typed [`bench::SweepRequest`]
 //! (the same schema-versioned document `sweepd` accepts over HTTP):
-//! flags override `--config FILE`, the file overrides the legacy
-//! `BENCH_*` environment, and a field set by both the file and the
-//! environment to different values is a usage error naming both. The
+//! flags override `--config FILE`, and the file overrides the defaults.
+//! The resolved request configures everything the run uses — the lab,
+//! the retry policy, the manifest directory, the worker count and the
+//! conformance thresholds; the environment configures nothing. The
 //! sweep grid defaults to the paper's pointer benchmarks × the seven
 //! headline systems on the ref input. The section text is identical at
 //! any thread count (only the trailing timing line varies): results are
@@ -55,45 +56,21 @@
 //! contains the substring (case-insensitive) and skips the sweep phase.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bench::cli::{parse_args, Parsed, RunAllArgs, USAGE};
 use bench::experiments::{compare, misc, multi, single};
-use bench::request::{compat, RequestOverlay};
-use bench::{Lab, Manifest, ManifestWriter, ResultStore, RunOutcome, SweepOptions, SweepRequest};
+use bench::{
+    Lab, Manifest, ManifestWriter, RequestOverlay, ResultStore, RunOutcome, SweepOptions,
+    SweepRequest,
+};
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("run_all: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// Resolves the typed request from the three sources — flags over
-/// `--config` file over legacy environment — and installs it as the
-/// authoritative configuration for every deep `BENCH_*` reader in this
-/// process (`Lab::new`, `Manifest::out_dir`, `RetryPolicy::from_env`…).
-fn resolve_request(args: &RunAllArgs) -> SweepRequest {
-    let flags = RequestOverlay {
-        jobs: args.jobs,
-        store_path: args.store.clone(),
-        workload_files: (!args.workload_files.is_empty()).then(|| args.workload_files.clone()),
-        ..RequestOverlay::default()
-    };
-    let file = args.config.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")));
-        let json = sim_core::Json::parse(&text)
-            .unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")));
-        RequestOverlay::from_json(&json)
-            .unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")))
-    });
-    let env = RequestOverlay::from_env().unwrap_or_else(|e| fail_usage(&e));
-    let request = SweepRequest::resolve(flags, file, env).unwrap_or_else(|e| fail_usage(&e));
-    if let Err(e) = compat::install_overrides(request.legacy_env_map()) {
-        eprintln!("[run_all] {e}");
-    }
-    request
 }
 
 /// `--bench`: time the engine hot path over the grid, write the report,
@@ -167,7 +144,7 @@ fn run_validate(args: &RunAllArgs, request: &SweepRequest) -> ! {
         .out_path
         .clone()
         .unwrap_or_else(|| "VALIDATE_report.json".to_string());
-    let lab = Lab::new();
+    let lab = Lab::for_request(request);
     let t = Instant::now();
     eprintln!(
         "[run_all] validating {} properties x {} workloads ({:?} input) ...",
@@ -175,7 +152,12 @@ fn run_validate(args: &RunAllArgs, request: &SweepRequest) -> ! {
         request.workloads.len(),
         request.input,
     );
-    let report = bench::run_conformance(&lab, &request.workloads, request.input);
+    let report = bench::run_conformance(
+        &lab,
+        &request.workloads,
+        request.input,
+        &request.validate_thresholds.unwrap_or_default(),
+    );
     for r in &report.results {
         eprintln!(
             "[run_all] {} {}/{}: {}",
@@ -185,7 +167,7 @@ fn run_validate(args: &RunAllArgs, request: &SweepRequest) -> ! {
             r.detail
         );
     }
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
+    if let Some(parent) = Path::new(&out_path).parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
@@ -218,7 +200,14 @@ fn main() {
         }
         Err(e) => fail_usage(&e),
     };
-    let request = resolve_request(&args);
+    let flags = RequestOverlay {
+        jobs: args.jobs,
+        store_path: args.store.clone(),
+        workload_files: (!args.workload_files.is_empty()).then(|| args.workload_files.clone()),
+        ..RequestOverlay::default()
+    };
+    let request =
+        SweepRequest::resolve(args.config.as_deref(), flags).unwrap_or_else(|e| fail_usage(&e));
     if args.bench {
         run_bench(&args, &request);
     }
@@ -230,11 +219,12 @@ fn main() {
         .out_path
         .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
 
-    let lab = Lab::new();
+    let lab = Lab::for_request(&request);
+    let lab_dir = Path::new(request.lab_dir.as_deref().unwrap_or(Manifest::DEFAULT_DIR));
     let t0 = Instant::now();
     let mut failures = 0usize;
 
-    // Persistent result store (--store, --config or $BENCH_RESULT_STORE):
+    // Persistent result store (--store or the --config `store.path`):
     // opening runs startup recovery; the report artifact lands next to
     // the log.
     let store = request.store_path.as_deref().map(ResultStore::open);
@@ -279,7 +269,7 @@ fn main() {
             }
         }
         let prior = if args.resume {
-            let m = Manifest::load(&plan.name);
+            let m = Manifest::load(lab_dir, &plan.name);
             if m.is_none() {
                 eprintln!("[run_all] --resume: no prior manifest, running everything");
             }
@@ -287,7 +277,7 @@ fn main() {
         } else {
             None
         };
-        let writer = ManifestWriter::new(plan.name.clone());
+        let writer = ManifestWriter::in_dir(lab_dir, plan.name.clone());
         eprintln!(
             "[run_all] sweeping {} cells on {jobs} workers ...",
             plan.cells.len()
@@ -455,7 +445,7 @@ fn main() {
         name: "run_all".to_string(),
         records,
     };
-    match manifest.write() {
+    match manifest.write(lab_dir) {
         Ok(path) => eprintln!("[lab] manifest: {}", path.display()),
         Err(e) => eprintln!("[lab] manifest write failed: {e}"),
     }

@@ -6,13 +6,12 @@
 //!     [--config FILE] [--jobs N] [--store PATH]
 //! ```
 //!
-//! Configuration resolves exactly like `run_all`: flags override the
-//! `--config` file, the file overrides the legacy `BENCH_*` environment,
-//! and a field set by both the file and the environment to different
-//! values exits 2 naming both sources. The resolved request supplies the
-//! worker-pool width (`jobs`), the store path, the retry policy used as
-//! the default for submitted jobs, and the fault/checkpoint knobs the
-//! shared `Lab` picks up.
+//! Configuration resolves exactly like `run_all`, through the same
+//! [`SweepRequest::resolve`]: flags override the `--config` file, the
+//! file overrides the defaults, and an unreadable or invalid file exits
+//! 2. The resolved request supplies the worker-pool width (`jobs`), the
+//! store path, and the shared `Lab`'s fault plan, checkpoint store and
+//! verbosity.
 //!
 //! # Endpoints
 //!
@@ -36,8 +35,7 @@ use std::time::Duration;
 use bench::httpd::{
     respond_error, respond_json, start_stream, write_event, HttpRequest, HttpServer,
 };
-use bench::request::{compat, RequestOverlay};
-use bench::{ResultStore, SweepRequest, SweepService};
+use bench::{Lab, RequestOverlay, ResultStore, SweepRequest, SweepService};
 use sim_core::Json;
 
 const USAGE: &str = "usage: sweepd [--addr HOST:PORT] [--config FILE] [--jobs N] [--store PATH]
@@ -46,7 +44,7 @@ const USAGE: &str = "usage: sweepd [--addr HOST:PORT] [--config FILE] [--jobs N]
                     free port — the bound address is printed on stdout)
   --config FILE     load a SweepRequest JSON document (same schema as the
                     POST /sweep body; flags override it, it overrides the
-                    legacy BENCH_* environment)
+                    defaults)
   --jobs N          worker-pool threads (default: jobs from the resolved
                     request, else available parallelism)
   --store PATH      persistent result store backing dedup across restarts";
@@ -95,29 +93,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
         }
     }
     Ok(parsed)
-}
-
-/// Flags-over-file-over-environment resolution, identical to `run_all`.
-fn resolve_request(args: &Args) -> SweepRequest {
-    let flags = RequestOverlay {
-        jobs: args.jobs,
-        store_path: args.store.clone(),
-        ..RequestOverlay::default()
-    };
-    let file = args.config.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")));
-        let json =
-            Json::parse(&text).unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")));
-        RequestOverlay::from_json(&json)
-            .unwrap_or_else(|e| fail_usage(&format!("--config {path:?}: {e}")))
-    });
-    let env = RequestOverlay::from_env().unwrap_or_else(|e| fail_usage(&e));
-    let request = SweepRequest::resolve(flags, file, env).unwrap_or_else(|e| fail_usage(&e));
-    if let Err(e) = compat::install_overrides(request.legacy_env_map()) {
-        eprintln!("[sweepd] {e}");
-    }
-    request
 }
 
 fn parse_config_hash(hex: &str) -> Option<u64> {
@@ -220,7 +195,13 @@ fn main() {
         Ok(a) => a,
         Err(e) => fail_usage(&e),
     };
-    let request = resolve_request(&args);
+    let flags = RequestOverlay {
+        jobs: args.jobs,
+        store_path: args.store.clone(),
+        ..RequestOverlay::default()
+    };
+    let request =
+        SweepRequest::resolve(args.config.as_deref(), flags).unwrap_or_else(|e| fail_usage(&e));
     let store = request.store_path.as_deref().map(|p| {
         let store = Arc::new(ResultStore::open(p));
         let rec = store.recovery();
@@ -238,7 +219,11 @@ fn main() {
         store
     });
     let workers = request.jobs.unwrap_or_else(bench::default_jobs);
-    let service = Arc::new(SweepService::start(store, workers));
+    let service = Arc::new(SweepService::start(
+        Lab::for_request(&request),
+        store,
+        workers,
+    ));
     let server = match HttpServer::bind(&args.addr) {
         Ok(s) => s,
         Err(e) => {

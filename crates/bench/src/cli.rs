@@ -12,17 +12,16 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
                [output.md]
 
   --config FILE   load a SweepRequest JSON document (the same schema sweepd
-                  accepts over HTTP). Precedence: flags override the file,
-                  the file overrides the environment; a field set by both
-                  the file and a BENCH_* variable to different values is a
-                  usage error naming both sources
+                  accepts over HTTP; see examples/configs/). Precedence:
+                  flags override the file, the file overrides the defaults
   --workload-file FILE
                   register a workload file before the grid is built:
                   .wl (workload DSL spec), .trace (text trace) or .xtrc
                   (binary streamed trace). Repeatable. Without an explicit
                   workload list, the grid is exactly the workloads these
                   files define
-  --jobs N        worker threads (default: $BENCH_JOBS or available parallelism)
+  --jobs N        worker threads (default: the file's jobs, else available
+                  parallelism)
   --filter SUBSTR only generate report sections whose name contains SUBSTR;
                   with --sweep, keep only sweep cells matching SUBSTR
   --resume        skip sweep cells already recorded as successful in the
@@ -30,14 +29,13 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
   --store PATH    persistent result store: serve sweep cells committed under
                   the same machine-config hash without re-simulation, append
                   fresh results, and write PATH.report.json with the
-                  recovery/heal status (default: $BENCH_RESULT_STORE; retry
-                  knobs: $BENCH_RETRY_ATTEMPTS, $BENCH_RETRY_BACKOFF_MS,
-                  $BENCH_CELL_DEADLINE_MS; set $BENCH_STORE_COMPACT=1 to
-                  compact the log after the sweep)
+                  recovery/heal status (default: the file's store.path;
+                  the file's retry and store.compact fields set the retry
+                  policy and compact the log after the sweep)
   --sweep         run only the sweep phase (no report sections)
   --bench         time the engine hot path over the sweep grid and write
                   BENCH_hotpath.json (or the positional output path); with
-                  $BENCH_BASELINE set to a prior report, exit 1 when
+                  the file's baseline set to a prior report, exit 1 when
                   cells/sec regresses more than 20%
   --validate      run the paper-conformance suite over the sweep grid and
                   write VALIDATE_report.json (or the positional output
@@ -76,8 +74,8 @@ pub struct RunAllArgs {
     pub warm_fork: bool,
     /// Directory for per-cell observability artifacts; enables tracing.
     pub trace_dir: Option<String>,
-    /// Persistent result-store path; `None` falls back to
-    /// `$BENCH_RESULT_STORE`, and an empty environment disables it.
+    /// Persistent result-store path; `None` falls back to the config
+    /// file's `store.path`, and without one the store is off.
     pub store: Option<String>,
     /// Report output path; `None` means `EXPERIMENTS.md`.
     pub out_path: Option<String>,

@@ -4,10 +4,9 @@
 //! to injected failures: a panic, a genuine simulator livelock (driven
 //! through the real engine watchdog), an artificial slowdown, or one of
 //! the I/O faults the persistent result store's write layer understands
-//! (see [`crate::store`]). Plans are parsed from the `BENCH_FAULT_PLAN`
-//! environment variable, so the integration tests can exercise the
-//! failure paths of the *real* `run_all` binary without patching any
-//! experiment code.
+//! (see [`crate::store`]). Plans are parsed from a request's `fault_plan`
+//! field, so the integration tests can exercise the failure paths of the
+//! *real* `run_all` binary without patching any experiment code.
 //!
 //! Plan syntax (entries separated by `;`):
 //!
@@ -222,22 +221,6 @@ impl FaultPlan {
             plan.push_capped(action, workload, input, system, cap);
         }
         Ok(plan)
-    }
-
-    /// The plan configured via `BENCH_FAULT_PLAN` (read through the
-    /// [`crate::request::compat`] gate), or the empty plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed plan — a misspelled injection silently
-    /// testing nothing is worse than failing fast.
-    pub fn from_env() -> Self {
-        match crate::request::compat::setting("BENCH_FAULT_PLAN") {
-            Some(text) => {
-                FaultPlan::parse(&text).unwrap_or_else(|e| panic!("invalid BENCH_FAULT_PLAN: {e}"))
-            }
-            None => FaultPlan::none(),
-        }
     }
 
     /// The first matching action for a cell's first attempt, if any.

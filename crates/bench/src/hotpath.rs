@@ -14,8 +14,8 @@
 //!
 //! [`HotpathReport::regression_check`] compares a fresh report against a
 //! checked-in baseline and fails on a >20 % `cells_per_sec` drop; the CI
-//! `bench-smoke` job wires it to the `BENCH_BASELINE` environment
-//! variable.
+//! `bench-smoke` job wires it up through the `baseline` field of its
+//! request document (`examples/configs/bench-smoke.json`).
 
 use std::time::Instant;
 

@@ -114,8 +114,7 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
 /// another process — the in-process result cache already deduplicates
 /// within one) fork from the stored snapshot instead of re-simulating
 /// the warmup. Results are bit-identical either way (see
-/// `bench::difftest`), so the store is purely a wall-clock optimization,
-/// like `BENCH_TRACE_CACHE` is for trace generation.
+/// `bench::difftest`), so the store is purely a wall-clock optimization.
 ///
 /// Checkpoints are keyed by workload, input, system, machine-config
 /// hash and warm-cycle count. A corrupt, truncated or stale file is
@@ -131,9 +130,10 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Default capture point when `BENCH_WARM_CYCLES` is unset: late
-    /// enough that prefetcher tables and caches are warm on the test
-    /// inputs, early enough that most runs have not finished.
+    /// Default capture point when a request sets no
+    /// `checkpoint.warm_cycles`: late enough that prefetcher tables and
+    /// caches are warm on the test inputs, early enough that most runs
+    /// have not finished.
     pub const DEFAULT_WARM_CYCLES: u64 = 200_000;
 
     /// Creates a store rooted at `dir` capturing after `warm_cycles`.
@@ -142,17 +142,6 @@ impl CheckpointConfig {
             dir: dir.into(),
             warm_cycles,
         }
-    }
-
-    /// The store configured via `BENCH_CHECKPOINT_DIR` (and optionally
-    /// `BENCH_WARM_CYCLES`), read through the
-    /// [`crate::request::compat`] gate, or `None` when unset.
-    pub fn from_env() -> Option<Self> {
-        let dir = crate::request::compat::setting("BENCH_CHECKPOINT_DIR")?;
-        let warm_cycles = crate::request::compat::setting("BENCH_WARM_CYCLES")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(Self::DEFAULT_WARM_CYCLES);
-        Some(CheckpointConfig::new(PathBuf::from(dir), warm_cycles))
     }
 
     /// The checkpoint file for one sweep cell. The machine-config hash
@@ -314,26 +303,37 @@ impl Default for Lab {
 }
 
 impl Lab {
-    /// Creates an empty lab. Set `BENCH_VERBOSE` in the environment for
-    /// one progress line per fresh simulation on stderr; set
-    /// `BENCH_FAULT_PLAN` (see [`FaultPlan`]) to inject failures into
-    /// matching cells; set `BENCH_CHECKPOINT_DIR` (see
-    /// [`CheckpointConfig`]) to reuse warm-state checkpoints across
-    /// processes.
+    /// Creates an empty, quiet lab: no injected faults, no checkpoint
+    /// store.
     pub fn new() -> Self {
-        Self::with_checkpoints(FaultPlan::from_env(), CheckpointConfig::from_env())
+        Self::with_checkpoints(FaultPlan::none(), None)
     }
 
-    /// Creates an empty lab with an explicit fault-injection plan
-    /// (tests use this instead of mutating the process environment).
-    /// The checkpoint store still comes from the environment.
+    /// Creates an empty, quiet lab with an explicit fault-injection plan
+    /// and no checkpoint store.
     pub fn with_faults(faults: FaultPlan) -> Self {
-        Self::with_checkpoints(faults, CheckpointConfig::from_env())
+        Self::with_checkpoints(faults, None)
     }
 
-    /// Creates an empty lab with an explicit fault plan and warm
+    /// Creates an empty, quiet lab with an explicit fault plan and warm
     /// checkpoint store (`None` disables checkpointing).
     pub fn with_checkpoints(faults: FaultPlan, checkpoints: Option<CheckpointConfig>) -> Self {
+        Self::build(faults, checkpoints, false)
+    }
+
+    /// The lab a resolved request describes: its fault plan (see
+    /// [`FaultPlan`]), its warm-checkpoint store (see
+    /// [`CheckpointConfig`]), and with `verbose` one progress line per
+    /// fresh simulation on stderr.
+    pub fn for_request(request: &crate::request::SweepRequest) -> Self {
+        Self::build(
+            request.parsed_fault_plan(),
+            request.checkpoint.clone(),
+            request.verbose,
+        )
+    }
+
+    fn build(faults: FaultPlan, checkpoints: Option<CheckpointConfig>, verbose: bool) -> Self {
         Lab {
             shared: Arc::new(LabShared {
                 traces: OnceMap::new(),
@@ -343,19 +343,13 @@ impl Lab {
                 traces_obs: OnceMap::new(),
                 faults,
                 checkpoints,
-                verbose: crate::request::compat::setting_is_set("BENCH_VERBOSE"),
+                verbose,
             }),
         }
     }
 
     /// The (cached) trace for a workload and input set; generated at most
     /// once per process.
-    ///
-    /// With `BENCH_TRACE_CACHE=<dir>` in the environment, traces are also
-    /// cached on disk in the `sim_core::trace_io` format — useful when
-    /// many per-figure binaries run as separate processes. The cache is
-    /// keyed by workload name and input set only; delete the directory
-    /// after changing workload generators.
     ///
     /// # Panics
     ///
@@ -364,21 +358,6 @@ impl Lab {
         let key = (name.to_string(), input);
         let shared = &self.shared;
         shared.traces.get_or_init(&key, || {
-            let disk = crate::request::compat::setting("BENCH_TRACE_CACHE").map(|dir| {
-                let mut p = PathBuf::from(dir);
-                p.push(format!("{name}-{input:?}.trc"));
-                p
-            });
-            if let Some(path) = disk.as_ref().filter(|p| p.exists()) {
-                if let Ok(f) = std::fs::File::open(path) {
-                    if let Ok(t) = sim_core::trace_io::read(&mut std::io::BufReader::new(f)) {
-                        if shared.verbose {
-                            eprintln!("[lab] loaded {name} {input:?} from cache");
-                        }
-                        return Arc::new(t);
-                    }
-                }
-            }
             let wl = registry::lookup(name).unwrap_or_else(|| panic!("unknown workload {name}"));
             assert!(
                 !wl.is_streamed(),
@@ -388,16 +367,7 @@ impl Lab {
             if shared.verbose {
                 eprintln!("[lab] generating {name} {input:?}");
             }
-            let t = wl.generate(input);
-            if let Some(path) = disk {
-                if let Some(parent) = path.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                if let Ok(f) = std::fs::File::create(&path) {
-                    let _ = sim_core::trace_io::write(&t, &mut std::io::BufWriter::new(f));
-                }
-            }
-            Arc::new(t)
+            Arc::new(wl.generate(input))
         })
     }
 
@@ -758,7 +728,7 @@ impl Lab {
                 .map(RunOutcome::Success)
                 .collect(),
         }
-        .write()
+        .write(Path::new(Manifest::DEFAULT_DIR))
     }
 }
 

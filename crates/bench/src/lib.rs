@@ -40,9 +40,7 @@ pub use store::{
 };
 pub use sweep::{default_jobs, RetryPolicy, SweepCell, SweepExecution, SweepOptions, SweepPlan};
 pub use table::Table;
-pub use validate::{
-    run_conformance, thresholds_from_env, PropertyResult, ValidateReport, VALIDATE_SCHEMA_VERSION,
-};
+pub use validate::{run_conformance, PropertyResult, ValidateReport, VALIDATE_SCHEMA_VERSION};
 
 /// Runs one report generator against a fresh [`Lab`], prints the report,
 /// and writes the run manifest to `target/lab/<name>.json`.

@@ -39,7 +39,7 @@
 //! completed cell — a killed sweep leaves a valid manifest of everything
 //! that finished, which `run_all --resume` uses to skip completed cells.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ecdp::system::SystemKind;
@@ -534,24 +534,18 @@ impl Manifest {
         Ok(Manifest { name, records })
     }
 
-    /// Loads and parses `<out_dir>/<name>.json`, if present and valid.
-    pub fn load(name: &str) -> Option<Self> {
-        let text = std::fs::read_to_string(Self::out_dir().join(format!("{name}.json"))).ok()?;
+    /// The directory manifests go to unless a request sets `lab_dir`,
+    /// relative to the current directory.
+    pub const DEFAULT_DIR: &'static str = "target/lab";
+
+    /// Loads and parses `<dir>/<name>.json`, if present and valid.
+    pub fn load(dir: &Path, name: &str) -> Option<Self> {
+        let text = std::fs::read_to_string(dir.join(format!("{name}.json"))).ok()?;
         Manifest::parse(&text).ok()
     }
 
-    /// The directory manifests are written to: `BENCH_LAB_DIR` (via the
-    /// [`crate::request::compat`] gate, so a resolved
-    /// [`crate::request::SweepRequest`] with `lab_dir` wins) if set,
-    /// else `target/lab` relative to the current directory.
-    pub fn out_dir() -> PathBuf {
-        crate::request::compat::setting("BENCH_LAB_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target").join("lab"))
-    }
-
-    /// Atomically writes the manifest to `<out_dir>/<name>.json` and
-    /// returns the path.
+    /// Atomically writes the manifest to `<dir>/<name>.json` and returns
+    /// the path.
     ///
     /// The content is first written to a temp file in the same directory
     /// and then renamed into place, so a crash mid-write never leaves a
@@ -560,9 +554,8 @@ impl Manifest {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = Self::out_dir();
-        std::fs::create_dir_all(&dir)?;
+    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.name));
         let tmp = dir.join(format!(".{}.json.tmp-{}", self.name, std::process::id()));
         std::fs::write(&tmp, self.to_json().to_string_pretty())?;
@@ -585,14 +578,21 @@ impl Manifest {
 /// manifest of every cell completed so far.
 #[derive(Debug)]
 pub struct ManifestWriter {
+    dir: PathBuf,
     name: String,
     state: Mutex<Vec<(usize, RunOutcome)>>,
 }
 
 impl ManifestWriter {
-    /// Creates a writer for `<out_dir>/<name>.json`.
+    /// Creates a writer for `<Manifest::DEFAULT_DIR>/<name>.json`.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::in_dir(Manifest::DEFAULT_DIR, name)
+    }
+
+    /// Creates a writer for `<dir>/<name>.json`.
+    pub fn in_dir(dir: impl Into<PathBuf>, name: impl Into<String>) -> Self {
         ManifestWriter {
+            dir: dir.into(),
             name: name.into(),
             state: Mutex::new(Vec::new()),
         }
@@ -619,7 +619,7 @@ impl ManifestWriter {
             name: self.name.clone(),
             records: state.iter().map(|(_, o)| o.clone()).collect(),
         };
-        manifest.write()
+        manifest.write(&self.dir)
     }
 
     /// The manifest assembled so far, in plan order.

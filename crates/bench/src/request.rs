@@ -1,12 +1,13 @@
-//! Typed sweep-request configuration — the `BENCH_*` consolidation layer.
+//! Typed sweep-request configuration.
 //!
-//! Seven PRs grew the harness fourteen-plus ad-hoc `BENCH_*` environment
-//! variables (`BENCH_JOBS`, `BENCH_RETRY_*`, `BENCH_SWEEP_*`,
-//! `BENCH_RESULT_STORE`, …), each parsed at its point of use. This module
-//! replaces that sprawl with one validated, schema-versioned
-//! [`SweepRequest`] struct that the `run_all` CLI, the `sweepd` service
-//! and the library share: the server's POST body and the CLI's
-//! `--config` file are **the same document**.
+//! One validated, schema-versioned [`SweepRequest`] configures a sweep:
+//! the `run_all` CLI, the `sweepd` service and the library share it, and
+//! the server's POST body and the CLI's `--config` file are **the same
+//! document**. The resolved request is handed to the code that uses its
+//! values — [`crate::Lab::for_request`] takes the fault plan, checkpoint
+//! store and verbosity, `run_all` the manifest directory, jobs, retry
+//! policy and thresholds — so nothing re-reads configuration from the
+//! process environment.
 //!
 //! Serialization uses the in-tree [`Json`] layer (the workspace takes no
 //! external dependencies, so there is no serde crate to derive from) with
@@ -15,33 +16,18 @@
 //! # Layering
 //!
 //! A [`RequestOverlay`] is a *partial* request: every field optional.
-//! Overlays come from three sources and merge in strict precedence
-//! order — **flags over file over environment** — via
-//! [`SweepRequest::resolve`]:
+//! [`SweepRequest::resolve`] merges two of them over the defaults in
+//! strict precedence order — **flags over `--config` file over
+//! defaults**:
 //!
-//! 1. command-line flags (`--jobs`, `--store`),
-//! 2. a `--config file.json` document / a POSTed request body,
-//! 3. the legacy `BENCH_*` environment.
-//!
-//! A field set by *both* the config file and the environment to
-//! **different** values is a hard error naming both sources (the
-//! usage-error convention: `run_all` exits 2); flags override either
-//! silently, and the environment overrides nothing.
-//!
-//! # The compat gate
-//!
-//! Every legacy `BENCH_*` read in this crate goes through
-//! [`compat::setting`]: a process-wide gate that (a) lets a resolved
-//! request install itself as the authoritative source for deep readers
-//! ([`compat::install_overrides`]) and (b) emits a one-line deprecation
-//! note the first time an environment variable — rather than a typed
-//! request — is the source of a setting. No production code reads
-//! `std::env::var("BENCH_…")` directly anymore.
+//! 1. command-line flags (`--jobs`, `--store`, `--workload-file`),
+//! 2. a `--config file.json` document,
+//! 3. the defaults of [`SweepRequest::default`].
 
 use std::path::PathBuf;
 
 use ecdp::system::SystemKind;
-use sim_core::Json;
+use sim_core::{Json, ThrottleThresholds};
 use workloads::{registry, InputSet};
 
 use crate::lab::CheckpointConfig;
@@ -68,94 +54,6 @@ pub const DEFAULT_SYSTEMS: [SystemKind; 7] = [
     SystemKind::StreamEcdpThrottled,
 ];
 
-/// Request field ↔ legacy environment variable mapping (also the table
-/// documented in DESIGN.md). `compat::setting` uses it for the
-/// deprecation notes; [`RequestOverlay::conflicts_with_env`] for the
-/// conflict messages.
-pub const LEGACY_ENV: &[(&str, &str)] = &[
-    ("workloads", "BENCH_SWEEP_WORKLOADS"),
-    ("workload_files", "BENCH_WORKLOAD_FILES"),
-    ("input", "BENCH_SWEEP_INPUT"),
-    ("systems", "BENCH_SWEEP_SYSTEMS"),
-    ("jobs", "BENCH_JOBS"),
-    ("retry.attempts", "BENCH_RETRY_ATTEMPTS"),
-    ("retry.backoff_ms", "BENCH_RETRY_BACKOFF_MS"),
-    ("retry.cell_deadline_ms", "BENCH_CELL_DEADLINE_MS"),
-    ("checkpoint.dir", "BENCH_CHECKPOINT_DIR"),
-    ("checkpoint.warm_cycles", "BENCH_WARM_CYCLES"),
-    ("store.path", "BENCH_RESULT_STORE"),
-    ("store.compact", "BENCH_STORE_COMPACT"),
-    ("fault_plan", "BENCH_FAULT_PLAN"),
-    ("trace_cache", "BENCH_TRACE_CACHE"),
-    ("lab_dir", "BENCH_LAB_DIR"),
-    ("verbose", "BENCH_VERBOSE"),
-    ("validate_thresholds", "BENCH_VALIDATE_THRESHOLDS"),
-    ("baseline", "BENCH_BASELINE"),
-];
-
-/// The process-wide legacy-environment gate. See the module docs.
-pub mod compat {
-    use std::collections::{HashMap, HashSet};
-    use std::sync::{Mutex, OnceLock};
-
-    static OVERRIDES: OnceLock<HashMap<String, String>> = OnceLock::new();
-    static NOTED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
-
-    /// Installs a resolved request as the authoritative source for every
-    /// later [`setting`] read in this process. Call once, before worker
-    /// threads spawn (`run_all`/`sweepd` do this right after resolving
-    /// their configuration). Keys are legacy variable names
-    /// (`"BENCH_JOBS"`), values their string forms.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if overrides were already installed.
-    pub fn install_overrides(
-        settings: impl IntoIterator<Item = (String, String)>,
-    ) -> Result<(), String> {
-        OVERRIDES
-            .set(settings.into_iter().collect())
-            .map_err(|_| "sweep-request overrides already installed in this process".to_string())
-    }
-
-    /// The value of one legacy setting: an installed override if any,
-    /// else the environment variable (emitting the one-time deprecation
-    /// note), else `None`.
-    pub fn setting(var: &str) -> Option<String> {
-        if let Some(overrides) = OVERRIDES.get() {
-            if let Some(v) = overrides.get(var) {
-                return Some(v.clone());
-            }
-        }
-        let v = std::env::var_os(var)?.to_str()?.to_string();
-        note(var);
-        Some(v)
-    }
-
-    /// True when [`setting`] would return a value (used for
-    /// presence-style flags like `BENCH_VERBOSE`).
-    pub fn setting_is_set(var: &str) -> bool {
-        setting(var).is_some()
-    }
-
-    fn note(var: &str) {
-        let noted = NOTED.get_or_init(|| Mutex::new(HashSet::new()));
-        let mut set = noted
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if set.insert(var.to_string()) {
-            let field = super::LEGACY_ENV
-                .iter()
-                .find(|(_, v)| *v == var)
-                .map_or("(unmapped)", |(f, _)| *f);
-            eprintln!(
-                "[request] note: legacy {var} is the source of `{field}`; \
-                 prefer a typed SweepRequest (--config / POST body, see DESIGN.md)"
-            );
-        }
-    }
-}
-
 fn parse_input(s: &str) -> Result<InputSet, String> {
     match s {
         "test" => Ok(InputSet::Test),
@@ -172,6 +70,28 @@ fn parse_systems(labels: &[String]) -> Result<Vec<SystemKind>, String> {
         .collect()
 }
 
+/// Parses Table 3 re-derivation thresholds written `cov,alow,ahigh`.
+fn parse_thresholds(raw: &str) -> Result<ThrottleThresholds, String> {
+    let parts = raw
+        .split(',')
+        .map(|p| {
+            p.trim()
+                .parse::<f64>()
+                .map_err(|_| format!("validate_thresholds: bad number {p:?} in {raw:?}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let [coverage, accuracy_low, accuracy_high] = parts[..] else {
+        return Err(format!(
+            "validate_thresholds wants cov,alow,ahigh; got {raw:?}"
+        ));
+    };
+    Ok(ThrottleThresholds {
+        coverage,
+        accuracy_low,
+        accuracy_high,
+    })
+}
+
 /// Registers every listed workload file, returning the workload names
 /// they define in file order. Idempotent for unchanged files (content
 /// hashing in the registry), so re-resolving a request is safe.
@@ -183,120 +103,49 @@ fn register_workload_files(files: &[String]) -> Result<Vec<String>, String> {
     Ok(loaded)
 }
 
-fn split_list(v: &str) -> Vec<String> {
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(ToString::to_string)
-        .collect()
-}
-
-/// A partially-specified sweep request: every field optional, so three
-/// sources (flags, file, environment) can be merged with explicit
-/// precedence. See the module docs for the layering rules.
+/// A partially-specified sweep request: every field optional, so flags
+/// and a config file can be merged with explicit precedence. See the
+/// module docs for the layering rules.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestOverlay {
-    /// Workload names (`BENCH_SWEEP_WORKLOADS`).
+    /// Workload names.
     pub workloads: Option<Vec<String>>,
     /// Workload files — `.wl` specs, `.trace` text traces or `.xtrc`
-    /// binary traces — registered before the grid is built
-    /// (`BENCH_WORKLOAD_FILES`).
+    /// binary traces — registered before the grid is built.
     pub workload_files: Option<Vec<String>>,
-    /// Input set (`BENCH_SWEEP_INPUT`).
+    /// Input set.
     pub input: Option<InputSet>,
-    /// System configurations (`BENCH_SWEEP_SYSTEMS`).
+    /// System configurations.
     pub systems: Option<Vec<SystemKind>>,
-    /// Worker threads (`BENCH_JOBS`).
+    /// Worker threads.
     pub jobs: Option<usize>,
-    /// Supervisor attempt budget (`BENCH_RETRY_ATTEMPTS`).
+    /// Supervisor attempt budget.
     pub retry_attempts: Option<u32>,
-    /// Supervisor backoff base (`BENCH_RETRY_BACKOFF_MS`).
+    /// Supervisor backoff base.
     pub retry_backoff_ms: Option<u64>,
-    /// Per-attempt wall-clock deadline; 0 disables
-    /// (`BENCH_CELL_DEADLINE_MS`).
+    /// Per-attempt wall-clock deadline; 0 disables.
     pub cell_deadline_ms: Option<u64>,
-    /// Warm-checkpoint directory (`BENCH_CHECKPOINT_DIR`).
+    /// Warm-checkpoint directory.
     pub checkpoint_dir: Option<String>,
-    /// Warm-checkpoint capture cycle (`BENCH_WARM_CYCLES`).
+    /// Warm-checkpoint capture cycle.
     pub warm_cycles: Option<u64>,
-    /// Persistent result-store path (`BENCH_RESULT_STORE`).
+    /// Persistent result-store path.
     pub store_path: Option<String>,
-    /// Compact the store after the sweep (`BENCH_STORE_COMPACT=1`).
+    /// Compact the store after the sweep.
     pub store_compact: Option<bool>,
-    /// Fault-injection plan text (`BENCH_FAULT_PLAN`).
+    /// Fault-injection plan text.
     pub fault_plan: Option<String>,
-    /// On-disk trace cache directory (`BENCH_TRACE_CACHE`).
-    pub trace_cache: Option<String>,
-    /// Manifest output directory (`BENCH_LAB_DIR`).
+    /// Manifest output directory.
     pub lab_dir: Option<String>,
-    /// Per-simulation progress lines on stderr (`BENCH_VERBOSE`).
+    /// Per-simulation progress lines on stderr.
     pub verbose: Option<bool>,
-    /// Table 3 re-derivation thresholds, `cov,alow,ahigh`
-    /// (`BENCH_VALIDATE_THRESHOLDS`).
-    pub validate_thresholds: Option<String>,
-    /// Hot-path benchmark baseline report path (`BENCH_BASELINE`).
+    /// Table 3 re-derivation thresholds (written `cov,alow,ahigh`).
+    pub validate_thresholds: Option<ThrottleThresholds>,
+    /// Hot-path benchmark baseline report path.
     pub baseline: Option<String>,
 }
 
 impl RequestOverlay {
-    /// The overlay described by the legacy `BENCH_*` environment, read
-    /// through the [`compat`] gate. Soft-invalid numeric values
-    /// (`BENCH_JOBS=many`) are ignored with a warning, matching the
-    /// historical per-site parsers; structurally invalid grid values
-    /// (an unknown system label) are hard errors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message for an unknown input set, system
-    /// label, or a malformed fault plan.
-    pub fn from_env() -> Result<Self, String> {
-        fn lenient<T: std::str::FromStr>(var: &str) -> Option<T> {
-            let raw = compat::setting(var)?;
-            match raw.trim().parse() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("[request] ignoring invalid {var}={raw:?}");
-                    None
-                }
-            }
-        }
-        let systems = match compat::setting("BENCH_SWEEP_SYSTEMS") {
-            Some(v) => Some(
-                parse_systems(&split_list(&v))
-                    .map_err(|e| format!("{e} in BENCH_SWEEP_SYSTEMS"))?,
-            ),
-            None => None,
-        };
-        let input = match compat::setting("BENCH_SWEEP_INPUT") {
-            Some(v) => Some(parse_input(&v).map_err(|e| format!("BENCH_SWEEP_INPUT: {e}"))?),
-            None => None,
-        };
-        let fault_plan = compat::setting("BENCH_FAULT_PLAN");
-        if let Some(text) = &fault_plan {
-            crate::fault::FaultPlan::parse(text).map_err(|e| format!("BENCH_FAULT_PLAN: {e}"))?;
-        }
-        Ok(RequestOverlay {
-            workloads: compat::setting("BENCH_SWEEP_WORKLOADS").map(|v| split_list(&v)),
-            workload_files: compat::setting("BENCH_WORKLOAD_FILES").map(|v| split_list(&v)),
-            input,
-            systems,
-            jobs: lenient::<usize>("BENCH_JOBS").filter(|&n| n > 0),
-            retry_attempts: lenient::<u32>("BENCH_RETRY_ATTEMPTS").filter(|&n| n >= 1),
-            retry_backoff_ms: lenient("BENCH_RETRY_BACKOFF_MS"),
-            cell_deadline_ms: lenient("BENCH_CELL_DEADLINE_MS"),
-            checkpoint_dir: compat::setting("BENCH_CHECKPOINT_DIR"),
-            warm_cycles: lenient("BENCH_WARM_CYCLES"),
-            store_path: compat::setting("BENCH_RESULT_STORE").filter(|s| !s.is_empty()),
-            store_compact: compat::setting("BENCH_STORE_COMPACT").map(|v| v == "1"),
-            fault_plan,
-            trace_cache: compat::setting("BENCH_TRACE_CACHE"),
-            lab_dir: compat::setting("BENCH_LAB_DIR"),
-            verbose: compat::setting("BENCH_VERBOSE").map(|_| true),
-            validate_thresholds: compat::setting("BENCH_VALIDATE_THRESHOLDS"),
-            baseline: compat::setting("BENCH_BASELINE"),
-        })
-    }
-
     /// Parses a request document (a `--config` file or a POSTed body).
     /// Unknown fields are hard errors — a misspelled knob silently
     /// configuring nothing is worse than failing fast.
@@ -317,7 +166,6 @@ impl RequestOverlay {
             "checkpoint",
             "store",
             "fault_plan",
-            "trace_cache",
             "lab_dir",
             "verbose",
             "validate_thresholds",
@@ -405,10 +253,11 @@ impl RequestOverlay {
                 })
                 .transpose()?,
             fault_plan: str_field(j, "fault_plan")?,
-            trace_cache: str_field(j, "trace_cache")?,
             lab_dir: str_field(j, "lab_dir")?,
             verbose: bool_field(j, "verbose")?,
-            validate_thresholds: str_field(j, "validate_thresholds")?,
+            validate_thresholds: str_field(j, "validate_thresholds")?
+                .map(|t| parse_thresholds(&t))
+                .transpose()?,
             baseline: str_field(j, "baseline")?,
             ..RequestOverlay::default()
         };
@@ -506,9 +355,6 @@ impl RequestOverlay {
         if let Some(f) = &self.fault_plan {
             pairs.push(("fault_plan", Json::Str(f.clone())));
         }
-        if let Some(t) = &self.trace_cache {
-            pairs.push(("trace_cache", Json::Str(t.clone())));
-        }
         if let Some(l) = &self.lab_dir {
             pairs.push(("lab_dir", Json::Str(l.clone())));
         }
@@ -516,44 +362,18 @@ impl RequestOverlay {
             pairs.push(("verbose", Json::Bool(v)));
         }
         if let Some(t) = &self.validate_thresholds {
-            pairs.push(("validate_thresholds", Json::Str(t.clone())));
+            pairs.push((
+                "validate_thresholds",
+                Json::Str(format!(
+                    "{},{},{}",
+                    t.coverage, t.accuracy_low, t.accuracy_high
+                )),
+            ));
         }
         if let Some(b) = &self.baseline {
             pairs.push(("baseline", Json::Str(b.clone())));
         }
         Json::obj(pairs)
-    }
-
-    /// A copy with every field cleared that `mask` sets — used to mute
-    /// file/environment conflicts on fields the flags decide anyway.
-    #[must_use]
-    pub fn without_fields_set_in(mut self, mask: &Self) -> Self {
-        macro_rules! clear {
-            ($($field:ident),* $(,)?) => {
-                $(if mask.$field.is_some() { self.$field = None; })*
-            };
-        }
-        clear!(
-            workloads,
-            workload_files,
-            input,
-            systems,
-            jobs,
-            retry_attempts,
-            retry_backoff_ms,
-            cell_deadline_ms,
-            checkpoint_dir,
-            warm_cycles,
-            store_path,
-            store_compact,
-            fault_plan,
-            trace_cache,
-            lab_dir,
-            verbose,
-            validate_thresholds,
-            baseline,
-        );
-        self
     }
 
     /// Merges `self` over `base`: set fields of `self` win.
@@ -573,78 +393,20 @@ impl RequestOverlay {
             store_path: self.store_path.or(base.store_path),
             store_compact: self.store_compact.or(base.store_compact),
             fault_plan: self.fault_plan.or(base.fault_plan),
-            trace_cache: self.trace_cache.or(base.trace_cache),
             lab_dir: self.lab_dir.or(base.lab_dir),
             verbose: self.verbose.or(base.verbose),
             validate_thresholds: self.validate_thresholds.or(base.validate_thresholds),
             baseline: self.baseline.or(base.baseline),
         }
     }
-
-    /// Conflict check between a config file and the environment: one
-    /// message per field both sources set to *different* values, naming
-    /// both (the `run_all` usage-error text). Equal values agree and
-    /// are not conflicts.
-    pub fn conflicts_with_env(&self, env: &RequestOverlay) -> Vec<String> {
-        fn show<T: std::fmt::Debug>(v: &T) -> String {
-            format!("{v:?}")
-        }
-        let mut conflicts = Vec::new();
-        macro_rules! check {
-            ($field:ident, $name:expr, $var:expr) => {
-                if let (Some(a), Some(b)) = (&self.$field, &env.$field) {
-                    if a != b {
-                        conflicts.push(format!(
-                            "conflicting `{}`: --config sets {} but {}={}",
-                            $name,
-                            show(a),
-                            $var,
-                            show(b)
-                        ));
-                    }
-                }
-            };
-        }
-        check!(workloads, "workloads", "BENCH_SWEEP_WORKLOADS");
-        check!(workload_files, "workload_files", "BENCH_WORKLOAD_FILES");
-        check!(input, "input", "BENCH_SWEEP_INPUT");
-        check!(systems, "systems", "BENCH_SWEEP_SYSTEMS");
-        check!(jobs, "jobs", "BENCH_JOBS");
-        check!(retry_attempts, "retry.attempts", "BENCH_RETRY_ATTEMPTS");
-        check!(
-            retry_backoff_ms,
-            "retry.backoff_ms",
-            "BENCH_RETRY_BACKOFF_MS"
-        );
-        check!(
-            cell_deadline_ms,
-            "retry.cell_deadline_ms",
-            "BENCH_CELL_DEADLINE_MS"
-        );
-        check!(checkpoint_dir, "checkpoint.dir", "BENCH_CHECKPOINT_DIR");
-        check!(warm_cycles, "checkpoint.warm_cycles", "BENCH_WARM_CYCLES");
-        check!(store_path, "store.path", "BENCH_RESULT_STORE");
-        check!(store_compact, "store.compact", "BENCH_STORE_COMPACT");
-        check!(fault_plan, "fault_plan", "BENCH_FAULT_PLAN");
-        check!(trace_cache, "trace_cache", "BENCH_TRACE_CACHE");
-        check!(lab_dir, "lab_dir", "BENCH_LAB_DIR");
-        check!(verbose, "verbose", "BENCH_VERBOSE");
-        check!(
-            validate_thresholds,
-            "validate_thresholds",
-            "BENCH_VALIDATE_THRESHOLDS"
-        );
-        check!(baseline, "baseline", "BENCH_BASELINE");
-        conflicts
-    }
 }
 
 /// A fully-resolved, validated sweep request: the one configuration
 /// type `run_all`, `sweepd` and the library share.
 ///
-/// Build one with the builder-style `with_*` methods, from the legacy
-/// environment ([`SweepRequest::from_env`]), or by layering sources
-/// ([`SweepRequest::resolve`]).
+/// Build one with the builder-style `with_*` methods, from a request
+/// document ([`SweepRequest::from_json`]), or by layering flags over a
+/// `--config` file ([`SweepRequest::resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRequest {
     /// Workload names (validated against the workload registry).
@@ -669,14 +431,13 @@ pub struct SweepRequest {
     pub store_compact: bool,
     /// Fault-injection plan text (empty = no injected faults).
     pub fault_plan: String,
-    /// On-disk trace cache directory, when configured.
-    pub trace_cache: Option<String>,
     /// Manifest output directory override, when configured.
     pub lab_dir: Option<String>,
     /// Per-simulation progress lines on stderr.
     pub verbose: bool,
-    /// Table 3 re-derivation threshold override (`cov,alow,ahigh`).
-    pub validate_thresholds: Option<String>,
+    /// Table 3 re-derivation threshold override; `None` means the
+    /// paper's Table 4 values.
+    pub validate_thresholds: Option<ThrottleThresholds>,
     /// Hot-path benchmark baseline report path.
     pub baseline: Option<String>,
 }
@@ -697,7 +458,6 @@ impl Default for SweepRequest {
             store_path: None,
             store_compact: false,
             fault_plan: String::new(),
-            trace_cache: None,
             lab_dir: None,
             verbose: false,
             validate_thresholds: None,
@@ -707,47 +467,25 @@ impl Default for SweepRequest {
 }
 
 impl SweepRequest {
-    /// The request described entirely by the legacy environment —
-    /// defaults plus the `BENCH_*` overlay.
+    /// Resolves the request a command line describes: the `--config`
+    /// document at `config` (if any) over the defaults, with `flags`
+    /// over both (see the module docs). `run_all` and `sweepd` share
+    /// this resolver.
     ///
     /// # Errors
     ///
-    /// Returns a one-line message on a structurally invalid variable
-    /// (unknown system label or input set, malformed fault plan, or an
-    /// unknown workload name).
-    pub fn from_env() -> Result<Self, String> {
-        Self::resolve(RequestOverlay::default(), None, RequestOverlay::from_env()?)
-    }
-
-    /// Layers the three sources (see the module docs): flags over file
-    /// over environment, with file↔environment disagreements rejected.
-    /// A field the flags set silences any file/environment conflict on
-    /// it — the flag decides, so the disagreement is moot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line message on a file/environment conflict or a
-    /// request that fails [`SweepRequest::validated`].
-    pub fn resolve(
-        flags: RequestOverlay,
-        file: Option<RequestOverlay>,
-        env: RequestOverlay,
-    ) -> Result<Self, String> {
-        let mut merged = env;
-        if let Some(file) = file {
-            let conflicts = file
-                .clone()
-                .without_fields_set_in(&flags)
-                .conflicts_with_env(&merged.clone().without_fields_set_in(&flags));
-            if let Some(first) = conflicts.first() {
-                return Err(format!(
-                    "{first} (unset one of the two sources, or decide the field with a flag)"
-                ));
-            }
-            merged = file.merged_over(merged);
-        }
-        merged = flags.merged_over(merged);
-        Self::from_overlay(merged)?.validated()
+    /// Returns a one-line message when the config file cannot be read or
+    /// parsed, or the merged request fails [`SweepRequest::validated`].
+    pub fn resolve(config: Option<&str>, flags: RequestOverlay) -> Result<Self, String> {
+        let file = match config {
+            Some(path) => std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| Json::parse(&text))
+                .and_then(|json| RequestOverlay::from_json(&json))
+                .map_err(|e| format!("--config {path:?}: {e}"))?,
+            None => RequestOverlay::default(),
+        };
+        Self::from_overlay(flags.merged_over(file))?.validated()
     }
 
     fn from_overlay(o: RequestOverlay) -> Result<Self, String> {
@@ -785,7 +523,6 @@ impl SweepRequest {
             store_path: o.store_path.filter(|s| !s.is_empty()),
             store_compact: o.store_compact.unwrap_or(false),
             fault_plan: o.fault_plan.unwrap_or_default(),
-            trace_cache: o.trace_cache,
             lab_dir: o.lab_dir,
             verbose: o.verbose.unwrap_or(false),
             validate_thresholds: o.validate_thresholds,
@@ -912,17 +649,16 @@ impl SweepRequest {
             store_path: self.store_path.clone(),
             store_compact: Some(self.store_compact),
             fault_plan: (!self.fault_plan.is_empty()).then(|| self.fault_plan.clone()),
-            trace_cache: self.trace_cache.clone(),
             lab_dir: self.lab_dir.clone(),
             verbose: Some(self.verbose),
-            validate_thresholds: self.validate_thresholds.clone(),
+            validate_thresholds: self.validate_thresholds,
             baseline: self.baseline.clone(),
         };
         o.to_json()
     }
 
-    /// Parses a full request document over the defaults (no
-    /// environment layering — the service uses this for POST bodies).
+    /// Parses a full request document over the defaults (the service
+    /// uses this for POST bodies).
     ///
     /// # Errors
     ///
@@ -930,83 +666,6 @@ impl SweepRequest {
     /// [`SweepRequest::validated`] errors.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Self::from_overlay(RequestOverlay::from_json(j)?)?.validated()
-    }
-
-    /// The legacy-variable rendering of every *configured* setting, for
-    /// [`compat::install_overrides`]: after installation, deep readers
-    /// (`Lab::new`, `Manifest::out_dir`, `RetryPolicy::from_env`, …)
-    /// observe this request instead of the raw environment.
-    pub fn legacy_env_map(&self) -> Vec<(String, String)> {
-        let mut map = vec![
-            (
-                "BENCH_SWEEP_WORKLOADS".to_string(),
-                self.workloads.join(","),
-            ),
-            (
-                "BENCH_SWEEP_INPUT".to_string(),
-                format!("{:?}", self.input).to_lowercase(),
-            ),
-            (
-                "BENCH_SWEEP_SYSTEMS".to_string(),
-                self.systems
-                    .iter()
-                    .map(|s| s.label().to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
-            (
-                "BENCH_RETRY_ATTEMPTS".to_string(),
-                self.retry.max_attempts.to_string(),
-            ),
-            (
-                "BENCH_RETRY_BACKOFF_MS".to_string(),
-                self.retry.backoff_base_ms.to_string(),
-            ),
-        ];
-        if !self.workload_files.is_empty() {
-            map.push((
-                "BENCH_WORKLOAD_FILES".to_string(),
-                self.workload_files.join(","),
-            ));
-        }
-        if let Some(n) = self.jobs {
-            map.push(("BENCH_JOBS".to_string(), n.to_string()));
-        }
-        if let Some(ms) = self.retry.deadline_ms {
-            map.push(("BENCH_CELL_DEADLINE_MS".to_string(), ms.to_string()));
-        }
-        if let Some(c) = &self.checkpoint {
-            map.push((
-                "BENCH_CHECKPOINT_DIR".to_string(),
-                c.dir.to_string_lossy().into_owned(),
-            ));
-            map.push(("BENCH_WARM_CYCLES".to_string(), c.warm_cycles.to_string()));
-        }
-        if let Some(p) = &self.store_path {
-            map.push(("BENCH_RESULT_STORE".to_string(), p.clone()));
-        }
-        if self.store_compact {
-            map.push(("BENCH_STORE_COMPACT".to_string(), "1".to_string()));
-        }
-        if !self.fault_plan.is_empty() {
-            map.push(("BENCH_FAULT_PLAN".to_string(), self.fault_plan.clone()));
-        }
-        if let Some(t) = &self.trace_cache {
-            map.push(("BENCH_TRACE_CACHE".to_string(), t.clone()));
-        }
-        if let Some(l) = &self.lab_dir {
-            map.push(("BENCH_LAB_DIR".to_string(), l.clone()));
-        }
-        if self.verbose {
-            map.push(("BENCH_VERBOSE".to_string(), "1".to_string()));
-        }
-        if let Some(t) = &self.validate_thresholds {
-            map.push(("BENCH_VALIDATE_THRESHOLDS".to_string(), t.clone()));
-        }
-        if let Some(b) = &self.baseline {
-            map.push(("BENCH_BASELINE".to_string(), b.clone()));
-        }
-        map
     }
 }
 
@@ -1038,6 +697,14 @@ mod tests {
                 deadline_ms: Some(4000),
             })
             .with_store("target/results.store");
+        let r = SweepRequest {
+            validate_thresholds: Some(ThrottleThresholds {
+                coverage: 0.25,
+                accuracy_low: 0.5,
+                accuracy_high: 1.1,
+            }),
+            ..r
+        };
         let text = r.to_json().to_string_pretty();
         let parsed = SweepRequest::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(r, parsed);
@@ -1066,84 +733,42 @@ mod tests {
         assert!(RequestOverlay::from_json(&badplan)
             .unwrap_err()
             .contains("fault_plan"));
+        for bad in ["1.1,x", "0.2,0.4", "0.2,0.4,0.7,0.9"] {
+            let doc = Json::obj([("validate_thresholds", Json::Str(bad.to_string()))]);
+            let err = RequestOverlay::from_json(&doc).unwrap_err();
+            assert!(err.contains("validate_thresholds"), "{bad}: {err}");
+        }
+        // The trace cache is gone; documents that still set it fail the
+        // unknown-field check.
+        let cache = Json::parse(r#"{"trace_cache": "target/traces"}"#).unwrap();
+        assert!(RequestOverlay::from_json(&cache)
+            .unwrap_err()
+            .contains("trace_cache"));
     }
 
     #[test]
-    fn precedence_is_flags_over_file_over_env() {
-        let env = RequestOverlay {
-            jobs: Some(8),
-            store_path: Some("env.store".to_string()),
-            ..RequestOverlay::default()
-        };
-        let file = RequestOverlay {
-            input: Some(InputSet::Test),
-            ..RequestOverlay::default()
-        };
+    fn precedence_is_flags_over_file_over_defaults() {
+        let path = std::env::temp_dir().join(format!("request-prec-{}.json", std::process::id()));
+        std::fs::write(&path, r#"{"input": "test", "jobs": 4}"#).unwrap();
         let flags = RequestOverlay {
             jobs: Some(2),
             ..RequestOverlay::default()
         };
-        let r = SweepRequest::resolve(flags, Some(file), env).unwrap();
-        assert_eq!(r.jobs, Some(2), "flag beats env");
+        let r = SweepRequest::resolve(path.to_str(), flags).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(r.jobs, Some(2), "flag beats file");
         assert_eq!(r.input, InputSet::Test, "file beats default");
-        assert_eq!(r.store_path.as_deref(), Some("env.store"));
-    }
-
-    #[test]
-    fn file_env_disagreement_is_a_conflict_naming_both() {
-        let env = RequestOverlay {
-            jobs: Some(8),
-            ..RequestOverlay::default()
-        };
-        let file = RequestOverlay {
-            jobs: Some(4),
-            ..RequestOverlay::default()
-        };
-        let err = SweepRequest::resolve(RequestOverlay::default(), Some(file), env).unwrap_err();
-        assert!(err.contains("--config"), "{err}");
-        assert!(err.contains("BENCH_JOBS"), "{err}");
-        // Agreement is not a conflict.
-        let file = RequestOverlay {
-            jobs: Some(8),
-            ..RequestOverlay::default()
-        };
-        let env = RequestOverlay {
-            jobs: Some(8),
-            ..RequestOverlay::default()
-        };
-        assert!(SweepRequest::resolve(RequestOverlay::default(), Some(file), env).is_ok());
-    }
-
-    #[test]
-    fn flag_on_a_field_silences_its_file_env_conflict() {
-        let env = RequestOverlay {
-            jobs: Some(8),
-            ..RequestOverlay::default()
-        };
-        let file = RequestOverlay {
-            jobs: Some(4),
-            ..RequestOverlay::default()
-        };
-        let flags = RequestOverlay {
-            jobs: Some(2),
-            ..RequestOverlay::default()
-        };
-        let r = SweepRequest::resolve(flags, Some(file), env).unwrap();
-        assert_eq!(r.jobs, Some(2), "the flag decides the conflicted field");
-        // A flag on an unrelated field does not silence the conflict.
-        let env = RequestOverlay {
-            jobs: Some(8),
-            ..RequestOverlay::default()
-        };
-        let file = RequestOverlay {
-            jobs: Some(4),
-            ..RequestOverlay::default()
-        };
-        let flags = RequestOverlay {
-            store_path: Some("flag.store".to_string()),
-            ..RequestOverlay::default()
-        };
-        assert!(SweepRequest::resolve(flags, Some(file), env).is_err());
+        assert_eq!(
+            r.systems,
+            DEFAULT_SYSTEMS.to_vec(),
+            "default fills the rest"
+        );
+        let err = SweepRequest::resolve(Some("no/such/request.json"), RequestOverlay::default())
+            .unwrap_err();
+        assert!(
+            err.starts_with("--config \"no/such/request.json\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1179,25 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_env_map_covers_configured_fields() {
-        let r = SweepRequest::default().with_jobs(3).with_store("s.store");
-        let map = r.legacy_env_map();
-        let get = |k: &str| map.iter().find(|(var, _)| var == k).map(|(_, v)| v.clone());
-        assert_eq!(get("BENCH_JOBS").as_deref(), Some("3"));
-        assert_eq!(get("BENCH_RESULT_STORE").as_deref(), Some("s.store"));
-        assert_eq!(get("BENCH_SWEEP_INPUT").as_deref(), Some("ref"));
-        assert_eq!(get("BENCH_VERBOSE"), None, "defaults are not installed");
-    }
-
-    #[test]
-    fn every_legacy_var_is_in_the_mapping_table() {
-        // The DESIGN.md table and the conflict checker both key off
-        // LEGACY_ENV; a new knob must be added there.
-        assert_eq!(LEGACY_ENV.len(), 18);
-        assert!(LEGACY_ENV.iter().all(|(_, v)| v.starts_with("BENCH_")));
-    }
-
-    #[test]
     fn workload_files_define_the_grid_and_roundtrip() {
         // The same overlay a `sweepd` POST body or `--config` file
         // produces: a workload file and no explicit workload list.
@@ -1213,7 +819,7 @@ mod tests {
             workload_files: Some(vec![path.to_string_lossy().into_owned()]),
             ..RequestOverlay::default()
         };
-        let r = SweepRequest::resolve(overlay, None, RequestOverlay::default()).unwrap();
+        let r = SweepRequest::resolve(None, overlay).unwrap();
         assert_eq!(
             r.workloads,
             vec!["req_unit".to_string()],
@@ -1230,7 +836,7 @@ mod tests {
             workloads: Some(vec!["mst".to_string()]),
             ..RequestOverlay::default()
         };
-        let r = SweepRequest::resolve(overlay, None, RequestOverlay::default()).unwrap();
+        let r = SweepRequest::resolve(None, overlay).unwrap();
         assert_eq!(r.workloads, vec!["mst".to_string()]);
         std::fs::remove_file(&path).ok();
 
@@ -1239,7 +845,7 @@ mod tests {
             workload_files: Some(vec!["spec.yaml".to_string()]),
             ..RequestOverlay::default()
         };
-        let err = SweepRequest::resolve(overlay, None, RequestOverlay::default()).unwrap_err();
+        let err = SweepRequest::resolve(None, overlay).unwrap_err();
         assert!(err.contains("workload_files"), "{err}");
         assert!(err.contains("yaml"), "{err}");
     }

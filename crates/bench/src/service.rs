@@ -350,12 +350,13 @@ pub struct SweepService {
 }
 
 impl SweepService {
-    /// Starts a service with `workers` pool threads, sharing one [`Lab`]
-    /// (so traces and profiles memoize across jobs) and optionally one
+    /// Starts a service with `workers` pool threads, sharing `lab` (so
+    /// traces and profiles memoize across jobs, and its fault plan and
+    /// checkpoint store apply to every cell) and optionally one
     /// persistent result store.
-    pub fn start(store: Option<Arc<ResultStore>>, workers: usize) -> SweepService {
+    pub fn start(lab: Lab, store: Option<Arc<ResultStore>>, workers: usize) -> SweepService {
         let shared = Arc::new(ServiceShared {
-            lab: Lab::new(),
+            lab,
             store,
             jobs: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -618,7 +619,7 @@ mod tests {
 
     #[test]
     fn submit_runs_and_streams_events() {
-        let svc = SweepService::start(None, 2);
+        let svc = SweepService::start(Lab::new(), None, 2);
         let job = svc.submit(tiny_request()).unwrap();
         wait_done(&job);
         let (lines, done) = job.wait_events(0, Duration::from_millis(10));
@@ -637,7 +638,7 @@ mod tests {
 
     #[test]
     fn identical_jobs_coalesce_or_memoize() {
-        let svc = SweepService::start(None, 2);
+        let svc = SweepService::start(Lab::new(), None, 2);
         let a = svc.submit(tiny_request()).unwrap();
         let b = svc.submit(tiny_request()).unwrap();
         wait_done(&a);
@@ -663,13 +664,13 @@ mod tests {
         let path = dir.join("results.store");
         let _ = std::fs::remove_file(&path);
         {
-            let svc = SweepService::start(Some(Arc::new(ResultStore::open(&path))), 2);
+            let svc = SweepService::start(Lab::new(), Some(Arc::new(ResultStore::open(&path))), 2);
             let job = svc.submit(tiny_request()).unwrap();
             wait_done(&job);
             assert_eq!(svc.cells_simulated(), 1);
         }
         // Fresh service, same store: pure hit, zero simulations.
-        let svc = SweepService::start(Some(Arc::new(ResultStore::open(&path))), 2);
+        let svc = SweepService::start(Lab::new(), Some(Arc::new(ResultStore::open(&path))), 2);
         let job = svc.submit(tiny_request()).unwrap();
         wait_done(&job);
         let status = job.status();
@@ -685,7 +686,7 @@ mod tests {
 
     #[test]
     fn status_json_reports_scheduler_and_store() {
-        let svc = SweepService::start(None, 1);
+        let svc = SweepService::start(Lab::new(), None, 1);
         let j = svc.status_json();
         assert_eq!(j.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(j.get("store"), Some(&Json::Null));
@@ -694,7 +695,7 @@ mod tests {
 
     #[test]
     fn invalid_requests_are_rejected() {
-        let svc = SweepService::start(None, 1);
+        let svc = SweepService::start(Lab::new(), None, 1);
         let bad = SweepRequest::default().with_workloads(&["no-such-workload"]);
         assert!(svc.submit(bad).is_err());
     }

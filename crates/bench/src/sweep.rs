@@ -85,25 +85,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The policy configured via `BENCH_RETRY_ATTEMPTS`,
-    /// `BENCH_RETRY_BACKOFF_MS` and `BENCH_CELL_DEADLINE_MS` (read
-    /// through the [`crate::request::compat`] gate, so an installed
-    /// [`crate::request::SweepRequest`] takes precedence), with defaults
-    /// for anything unset.
-    pub fn from_env() -> Self {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            crate::request::compat::setting(var).and_then(|v| v.trim().parse().ok())
-        }
-        let d = RetryPolicy::default();
-        RetryPolicy {
-            max_attempts: parse("BENCH_RETRY_ATTEMPTS")
-                .filter(|&n: &u32| n >= 1)
-                .unwrap_or(d.max_attempts),
-            backoff_base_ms: parse("BENCH_RETRY_BACKOFF_MS").unwrap_or(d.backoff_base_ms),
-            deadline_ms: parse("BENCH_CELL_DEADLINE_MS").filter(|&ms: &u64| ms > 0),
-        }
-    }
-
     /// Deterministic backoff before retrying after failed `attempt`
     /// (1-based): exponential, no jitter.
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
@@ -383,26 +364,6 @@ impl SweepPlan {
             store_hits,
         }
     }
-
-    /// Runs the plan and writes its manifest to
-    /// `target/lab/<name>.json`; returns the records and the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the manifest write.
-    pub fn run_and_write(
-        &self,
-        lab: &Lab,
-        jobs: usize,
-    ) -> std::io::Result<(Vec<RunRecord>, std::path::PathBuf)> {
-        let records = self.run(lab, jobs);
-        let path = Manifest {
-            name: self.name.clone(),
-            records: records.iter().cloned().map(RunOutcome::Success).collect(),
-        }
-        .write()?;
-        Ok((records, path))
-    }
 }
 
 /// Runs one cell under the retry/deadline supervisor and commits the
@@ -534,18 +495,9 @@ fn write_cell_trace(
     ))
 }
 
-/// The worker-thread count to use by default: `BENCH_JOBS` (via the
-/// [`crate::request::compat`] gate) if set to a positive integer, else
-/// the machine's available parallelism.
+/// The worker-thread count used when a request sets no `jobs`: the
+/// machine's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Some(v) = crate::request::compat::setting("BENCH_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-        eprintln!("[sweep] ignoring invalid BENCH_JOBS={v:?}");
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

@@ -30,9 +30,9 @@
 //! (pass/fail per property per workload, with the offending evidence) and
 //! is gated in CI via `run_all --validate`, which exits 2 on violation.
 //!
-//! Fault-injection hooks: a `BENCH_FAULT_PLAN` entry targeting a cell of
-//! the paired grid fails the property that runs it, and
-//! `BENCH_VALIDATE_THRESHOLDS=cov,alow,ahigh` re-derives Table 3 under
+//! Fault-injection hooks: a request `fault_plan` entry targeting a cell
+//! of the paired grid fails the property that runs it, and a request
+//! `validate_thresholds` of `cov,alow,ahigh` re-derives Table 3 under
 //! deliberately shifted thresholds — both drive the gate's exit-2 path
 //! end to end.
 
@@ -136,37 +136,6 @@ impl ValidateReport {
     }
 }
 
-/// Thresholds for the Table 3 re-derivation: the shared paper const table,
-/// unless `BENCH_VALIDATE_THRESHOLDS=cov,alow,ahigh` overrides them (the
-/// documented way to inject a violation and exercise the gate's failure
-/// path end to end).
-///
-/// # Panics
-///
-/// Panics when the variable is set but not three comma-separated floats.
-pub fn thresholds_from_env() -> ThrottleThresholds {
-    let Some(raw) = crate::request::compat::setting("BENCH_VALIDATE_THRESHOLDS") else {
-        return ThrottleThresholds::default();
-    };
-    let parts: Vec<f64> = raw
-        .split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("BENCH_VALIDATE_THRESHOLDS: bad float {p:?}"))
-        })
-        .collect();
-    assert!(
-        parts.len() == 3,
-        "BENCH_VALIDATE_THRESHOLDS wants cov,alow,ahigh; got {raw:?}"
-    );
-    ThrottleThresholds {
-        coverage: parts[0],
-        accuracy_low: parts[1],
-        accuracy_high: parts[2],
-    }
-}
-
 fn total_issued(stats: &RunStats) -> u64 {
     stats.prefetchers.iter().map(|p| p.issued).sum()
 }
@@ -175,7 +144,12 @@ fn total_issued(stats: &RunStats) -> u64 {
 /// paired systems' registration order.
 const CDP_INDEX: usize = 1;
 
-fn ecdp_prunes_cdp(lab: &Lab, name: &str, input: InputSet) -> Result<String, String> {
+fn ecdp_prunes_cdp(
+    lab: &Lab,
+    name: &str,
+    input: InputSet,
+    _: &ThrottleThresholds,
+) -> Result<String, String> {
     let cdp = lab
         .try_run_on(name, input, SystemKind::StreamCdp)
         .map_err(|e| format!("stream+cdp run failed: {e}"))?;
@@ -205,7 +179,12 @@ fn ecdp_prunes_cdp(lab: &Lab, name: &str, input: InputSet) -> Result<String, Str
     ))
 }
 
-fn aggressiveness_monotone(lab: &Lab, name: &str, input: InputSet) -> Result<String, String> {
+fn aggressiveness_monotone(
+    lab: &Lab,
+    name: &str,
+    input: InputSet,
+    _: &ThrottleThresholds,
+) -> Result<String, String> {
     let art = lab.artifacts(name);
     let trace = lab.trace(name, input);
     let mut issued_by_level = Vec::new();
@@ -237,7 +216,12 @@ fn aggressiveness_monotone(lab: &Lab, name: &str, input: InputSet) -> Result<Str
     ))
 }
 
-fn oracle_bounds_ecdp(lab: &Lab, name: &str, input: InputSet) -> Result<String, String> {
+fn oracle_bounds_ecdp(
+    lab: &Lab,
+    name: &str,
+    input: InputSet,
+    _: &ThrottleThresholds,
+) -> Result<String, String> {
     let oracle = lab
         .try_run_on(name, input, SystemKind::OracleLds)
         .map_err(|e| format!("oracle run failed: {e}"))?;
@@ -256,7 +240,12 @@ fn oracle_bounds_ecdp(lab: &Lab, name: &str, input: InputSet) -> Result<String, 
     ))
 }
 
-fn throttle_bounded_bandwidth(lab: &Lab, name: &str, input: InputSet) -> Result<String, String> {
+fn throttle_bounded_bandwidth(
+    lab: &Lab,
+    name: &str,
+    input: InputSet,
+    _: &ThrottleThresholds,
+) -> Result<String, String> {
     let art = lab.artifacts(name);
     let trace = lab.trace(name, input);
     let mut details = Vec::new();
@@ -323,8 +312,12 @@ fn throttle_bounded_bandwidth(lab: &Lab, name: &str, input: InputSet) -> Result<
     Ok(details.join(", "))
 }
 
-fn table3_rederivation(lab: &Lab, name: &str, input: InputSet) -> Result<String, String> {
-    let thresholds = thresholds_from_env();
+fn table3_rederivation(
+    lab: &Lab,
+    name: &str,
+    input: InputSet,
+    thresholds: &ThrottleThresholds,
+) -> Result<String, String> {
     // The default-size L2 spans few (on the test input: zero) feedback
     // intervals, which would make this property vacuous. Run the
     // throttled system once with the shrunk L2 / short intervals the
@@ -350,7 +343,7 @@ fn table3_rederivation(lab: &Lab, name: &str, input: InputSet) -> Result<String,
     let mut offending = Vec::new();
     for t in &trace.transitions {
         checked += 1;
-        if let Err(e) = rederive_transition(t, &thresholds) {
+        if let Err(e) = rederive_transition(t, thresholds) {
             offending.push(format!(
                 "interval {} prefetcher {}: {e}",
                 t.interval, t.prefetcher
@@ -374,7 +367,9 @@ fn table3_rederivation(lab: &Lab, name: &str, input: InputSet) -> Result<String,
     }
 }
 
-type PropertyFn = fn(&Lab, &str, InputSet) -> Result<String, String>;
+/// A property check: lab, workload, input and the Table 3 thresholds
+/// the re-derivation uses.
+type PropertyFn = fn(&Lab, &str, InputSet, &ThrottleThresholds) -> Result<String, String>;
 
 /// The paired-config properties of the conformance suite, in execution
 /// order.
@@ -394,8 +389,9 @@ fn run_property(
     f: PropertyFn,
     name: &str,
     input: InputSet,
+    thresholds: &ThrottleThresholds,
 ) -> PropertyResult {
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(lab, name, input)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| f(lab, name, input, thresholds)));
     let (passed, detail) = match outcome {
         Ok(Ok(detail)) => (true, detail),
         Ok(Err(detail)) => (false, detail),
@@ -419,7 +415,14 @@ fn run_property(
 /// Runs the full conformance suite: every [`PROPERTIES`] entry on every
 /// workload, one worker thread per workload (cells are cached in `lab`,
 /// so paired configs shared between properties simulate once).
-pub fn run_conformance(lab: &Lab, names: &[String], input: InputSet) -> ValidateReport {
+/// `thresholds` drive the Table 3 re-derivation; pass the paper's
+/// [`ThrottleThresholds::default`] unless injecting a violation.
+pub fn run_conformance(
+    lab: &Lab,
+    names: &[String],
+    input: InputSet,
+    thresholds: &ThrottleThresholds,
+) -> ValidateReport {
     let mut results = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = names
@@ -428,7 +431,7 @@ pub fn run_conformance(lab: &Lab, names: &[String], input: InputSet) -> Validate
                 scope.spawn(move || {
                     PROPERTIES
                         .iter()
-                        .map(|(prop, f)| run_property(lab, prop, *f, name, input))
+                        .map(|(prop, f)| run_property(lab, prop, *f, name, input, thresholds))
                         .collect::<Vec<_>>()
                 })
             })
@@ -515,13 +518,5 @@ mod tests {
             }
         }
         assert!(ValidateReport::from_json(&j).is_none());
-    }
-
-    #[test]
-    fn default_thresholds_without_env() {
-        // Serial test envs may set the var; only assert the default path.
-        if std::env::var("BENCH_VALIDATE_THRESHOLDS").is_err() {
-            assert_eq!(thresholds_from_env(), ThrottleThresholds::default());
-        }
     }
 }

@@ -24,8 +24,8 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use bench::{
-    FaultPlan, Lab, Manifest, ResultStore, RetryInfo, RetryPolicy, RunOutcome, RunRecord,
-    SweepOptions, SweepPlan,
+    FaultPlan, Lab, Manifest, RequestOverlay, ResultStore, RetryInfo, RetryPolicy, RunOutcome,
+    RunRecord, SweepOptions, SweepPlan,
 };
 use ecdp::system::SystemKind;
 use rand::rngs::StdRng;
@@ -320,26 +320,31 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
     let chaos_dir = scratch("kill-chaos");
     let store_path = chaos_dir.join("results.store");
 
-    let base_cmd = |lab_dir: &PathBuf| {
+    // Each run writes its request into its lab dir; the runs of one dir
+    // are sequential, so rewriting the file between them is safe.
+    let base_cmd = |lab_dir: &PathBuf, fault_plan: Option<&str>, store_compact: bool| {
+        let config = lab_dir.join("request.json");
+        let request = RequestOverlay {
+            workloads: Some(WORKLOADS.map(String::from).to_vec()),
+            input: Some(InputSet::Test),
+            systems: Some(SYSTEMS.to_vec()),
+            lab_dir: Some(lab_dir.display().to_string()),
+            fault_plan: fault_plan.map(String::from),
+            store_compact: Some(store_compact),
+            ..RequestOverlay::default()
+        };
+        std::fs::write(&config, request.to_json().to_string_pretty()).unwrap();
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
         cmd.arg("--sweep")
             .arg("--jobs")
             .arg("2")
-            .env("BENCH_LAB_DIR", lab_dir)
-            .env("BENCH_SWEEP_WORKLOADS", WORKLOADS.join(","))
-            .env("BENCH_SWEEP_INPUT", "test")
-            .env(
-                "BENCH_SWEEP_SYSTEMS",
-                SYSTEMS.map(SystemKind::label).join(","),
-            )
-            .env_remove("BENCH_FAULT_PLAN")
-            .env_remove("BENCH_RESULT_STORE")
-            .env_remove("BENCH_STORE_COMPACT");
+            .arg("--config")
+            .arg(config);
         cmd
     };
 
     // Uninterrupted golden run (no store, no faults).
-    let out = base_cmd(&golden_dir).output().unwrap();
+    let out = base_cmd(&golden_dir, None, false).output().unwrap();
     assert!(
         out.status.success(),
         "golden run failed:\n{}",
@@ -358,11 +363,10 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
     // left behind — a partial manifest and a possibly torn store log.
     let mut rng = StdRng::seed_from_u64(0xC4A05);
     for round in 0..3 {
-        let mut child = base_cmd(&chaos_dir)
+        let mut child = base_cmd(&chaos_dir, Some("slow@*=150"), false)
             .arg("--resume")
             .arg("--store")
             .arg(&store_path)
-            .env("BENCH_FAULT_PLAN", "slow@*=150")
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
@@ -377,11 +381,10 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
 
     // Final run: no kill. It must recover the store, resume the
     // manifest, and finish every remaining cell.
-    let out = base_cmd(&chaos_dir)
+    let out = base_cmd(&chaos_dir, Some("slow@*=150"), false)
         .arg("--resume")
         .arg("--store")
         .arg(&store_path)
-        .env("BENCH_FAULT_PLAN", "slow@*=150")
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -414,10 +417,9 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
 
     // One more pass, store-served end to end with compaction: every
     // cell comes from the store without simulation.
-    let out = base_cmd(&chaos_dir)
+    let out = base_cmd(&chaos_dir, None, true)
         .arg("--store")
         .arg(&store_path)
-        .env("BENCH_STORE_COMPACT", "1")
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);

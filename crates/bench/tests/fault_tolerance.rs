@@ -15,7 +15,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bench::{
-    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, RunOutcome, SweepOptions, SweepPlan,
+    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, RequestOverlay, RunOutcome,
+    SweepOptions, SweepPlan,
 };
 use ecdp::system::SystemKind;
 use workloads::InputSet;
@@ -144,22 +145,23 @@ fn run_all_binary_survives_faults_and_resumes() {
     let _ = std::fs::remove_dir_all(&lab_dir);
     std::fs::create_dir_all(&lab_dir).unwrap();
 
+    let config = lab_dir.join("request.json");
     let run = |fault_plan: Option<&str>, resume: bool| {
+        let request = RequestOverlay {
+            workloads: Some(WORKLOADS.map(String::from).to_vec()),
+            input: Some(InputSet::Test),
+            systems: Some(SYSTEMS.to_vec()),
+            lab_dir: Some(lab_dir.display().to_string()),
+            fault_plan: fault_plan.map(String::from),
+            ..RequestOverlay::default()
+        };
+        std::fs::write(&config, request.to_json().to_string_pretty()).unwrap();
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
         cmd.arg("--sweep")
             .arg("--jobs")
             .arg("4")
-            .env("BENCH_LAB_DIR", &lab_dir)
-            .env("BENCH_SWEEP_WORKLOADS", WORKLOADS.join(","))
-            .env("BENCH_SWEEP_INPUT", "test")
-            .env(
-                "BENCH_SWEEP_SYSTEMS",
-                SYSTEMS.map(SystemKind::label).join(","),
-            )
-            .env_remove("BENCH_FAULT_PLAN");
-        if let Some(p) = fault_plan {
-            cmd.env("BENCH_FAULT_PLAN", p);
-        }
+            .arg("--config")
+            .arg(&config);
         if resume {
             cmd.arg("--resume");
         }

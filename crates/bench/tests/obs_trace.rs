@@ -243,14 +243,20 @@ fn validate_obs_jsonl(text: &str) {
 fn run_all_trace_dir_emits_schema_valid_artifacts() {
     let base = scratch("cli");
     let trace_dir = base.join("traces");
+    let config = base.join("request.json");
+    std::fs::write(
+        &config,
+        format!(
+            r#"{{"workloads":["mst"],"systems":["stream+cdp"],"input":"test","lab_dir":{:?}}}"#,
+            base.display().to_string()
+        ),
+    )
+    .unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args(["--sweep", "--jobs", "2", "--trace-dir"])
         .arg(&trace_dir)
-        .env("BENCH_LAB_DIR", &base)
-        .env("BENCH_SWEEP_WORKLOADS", "mst")
-        .env("BENCH_SWEEP_SYSTEMS", "stream+cdp")
-        .env("BENCH_SWEEP_INPUT", "test")
-        .env_remove("BENCH_FAULT_PLAN")
+        .arg("--config")
+        .arg(&config)
         .output()
         .expect("run_all spawns");
     assert!(
@@ -345,13 +351,19 @@ fn table3_case_sequence_is_deterministic_and_self_consistent() {
 /// silent empty-manifest success.
 #[test]
 fn run_all_filter_matching_no_cells_exits_2() {
+    let base = scratch("nomatch");
+    let config = base.join("request.json");
+    std::fs::write(
+        &config,
+        r#"{"workloads":["mst"],"systems":["stream"],"input":"test"}"#,
+    )
+    .unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["--sweep", "--filter", "no-such-cell-zzz"])
-        .env("BENCH_SWEEP_WORKLOADS", "mst")
-        .env("BENCH_SWEEP_SYSTEMS", "stream")
-        .env("BENCH_SWEEP_INPUT", "test")
+        .args(["--sweep", "--filter", "no-such-cell-zzz", "--config"])
+        .arg(&config)
         .output()
         .expect("run_all spawns");
+    let _ = std::fs::remove_dir_all(&base);
     assert_eq!(
         out.status.code(),
         Some(2),

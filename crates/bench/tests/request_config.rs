@@ -1,39 +1,14 @@
 //! Configuration-resolution tests against the real `run_all` binary:
-//! `--config` files drive the sweep (including deep `BENCH_*` readers
-//! like the manifest output directory), flags override files, files
-//! override the environment, file↔environment disagreements are usage
-//! errors naming both sources, and legacy variables earn a one-line
-//! deprecation note when they actually source a setting.
+//! `--config` files drive the sweep (including the manifest output
+//! directory), flags override files, unknown fields are usage errors, and
+//! `BENCH_*` environment variables configure nothing.
 
 #![allow(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use bench::Manifest;
-
-/// Every legacy variable the request layer reads — scrubbed so the tests
-/// are hermetic against the caller's environment.
-const BENCH_VARS: [&str; 18] = [
-    "BENCH_SWEEP_WORKLOADS",
-    "BENCH_SWEEP_INPUT",
-    "BENCH_SWEEP_SYSTEMS",
-    "BENCH_JOBS",
-    "BENCH_RETRY_ATTEMPTS",
-    "BENCH_RETRY_BACKOFF_MS",
-    "BENCH_CELL_DEADLINE_MS",
-    "BENCH_CHECKPOINT_DIR",
-    "BENCH_WARM_CYCLES",
-    "BENCH_RESULT_STORE",
-    "BENCH_STORE_COMPACT",
-    "BENCH_FAULT_PLAN",
-    "BENCH_TRACE_CACHE",
-    "BENCH_LAB_DIR",
-    "BENCH_VERBOSE",
-    "BENCH_VALIDATE_THRESHOLDS",
-    "BENCH_BASELINE",
-    "BENCH_UPDATE_GOLDEN",
-];
+use bench::{Manifest, RunOutcome};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ecdp-reqcfg-{tag}-{}", std::process::id()));
@@ -44,15 +19,12 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn run_all() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
-    for var in BENCH_VARS {
-        cmd.env_remove(var);
-    }
     cmd.arg("--sweep");
     cmd
 }
 
-/// A one-cell config document whose `lab_dir` also exercises the deep
-/// `Manifest::out_dir` reader through the installed overrides.
+/// A one-cell config document whose `lab_dir` also sets the manifest
+/// output directory.
 fn one_cell_config(dir: &std::path::Path, extra: &str) -> PathBuf {
     let lab_dir = dir.join("lab");
     let path = dir.join("sweep.json");
@@ -67,8 +39,9 @@ fn one_cell_config(dir: &std::path::Path, extra: &str) -> PathBuf {
     path
 }
 
-/// `--config` alone drives both the sweep grid and the deep readers: the
-/// manifest lands in the file's `lab_dir` with exactly the file's grid.
+/// `--config` alone drives both the sweep grid and the manifest
+/// directory: the manifest lands in the file's `lab_dir` with exactly the
+/// file's grid.
 #[test]
 fn config_file_drives_sweep_and_deep_readers() {
     let dir = scratch("file");
@@ -82,33 +55,11 @@ fn config_file_drives_sweep_and_deep_readers() {
     assert_eq!(records.len(), 1, "{stderr}");
     assert_eq!(records[0].workload, "mst");
     assert_eq!(records[0].system, "stream");
-    // A file-sourced setting is the typed path — no deprecation notes.
-    assert!(!stderr.contains("note: legacy"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A field set by both the file and the environment to different values
-/// is a usage error (exit 2) naming both sources.
-#[test]
-fn file_env_conflict_exits_2_naming_both_sources() {
-    let dir = scratch("conflict");
-    let config = one_cell_config(&dir, r#","jobs":4"#);
-    let out = run_all()
-        .arg("--config")
-        .arg(&config)
-        .env("BENCH_JOBS", "8")
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--config"), "{stderr}");
-    assert!(stderr.contains("BENCH_JOBS"), "{stderr}");
-    assert!(stderr.contains("jobs"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A flag on the conflicted field silences the file/environment
-/// disagreement — the flag decides.
+/// A flag overrides the file on the same field; a stale `BENCH_JOBS`
+/// in the environment plays no part.
 #[test]
 fn flag_overrides_both_file_and_env_on_a_conflicted_field() {
     let dir = scratch("flagwins");
@@ -127,34 +78,44 @@ fn flag_overrides_both_file_and_env_on_a_conflicted_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Legacy variables still work without a config file, but each one that
-/// actually sources a setting earns a one-line deprecation note.
+/// `BENCH_*` variables are not a configuration source: the checked-in
+/// smoke sweep with stale or invalid ones set runs exactly as it does
+/// without them.
 #[test]
-fn legacy_env_sourcing_emits_one_deprecation_note_per_var() {
-    let dir = scratch("legacy");
-    let lab_dir = dir.join("lab");
-    let out = run_all()
-        .env("BENCH_SWEEP_WORKLOADS", "mst")
-        .env("BENCH_SWEEP_INPUT", "test")
-        .env("BENCH_SWEEP_SYSTEMS", "stream")
-        .env("BENCH_LAB_DIR", &lab_dir)
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(
-        stderr.contains("note: legacy BENCH_SWEEP_WORKLOADS is the source of `workloads`"),
-        "{stderr}"
-    );
-    assert_eq!(
-        stderr.matches("note: legacy BENCH_SWEEP_WORKLOADS").count(),
-        1,
-        "the note fires once per variable: {stderr}"
-    );
-    // The env-driven grid still runs and lands in the env-driven lab dir.
-    let manifest =
-        Manifest::parse(&std::fs::read_to_string(lab_dir.join("run_all.json")).unwrap()).unwrap();
-    assert_eq!(manifest.successes().count(), 1, "{stderr}");
+fn bench_env_vars_do_not_change_the_run() {
+    let dir = scratch("envfree");
+    let config =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/configs/smoke.json");
+    let manifest_path = dir.join("target/lab/run_all.json");
+    let run = |env: &[(&str, &str)]| {
+        let out = run_all()
+            .current_dir(&dir)
+            .arg("--config")
+            .arg(&config)
+            .envs(env.iter().copied())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        let text = std::fs::read_to_string(&manifest_path).unwrap();
+        std::fs::remove_file(&manifest_path).unwrap();
+        let mut manifest = Manifest::parse(&text).unwrap();
+        // Wall time is the one field two identical runs may differ in.
+        for record in &mut manifest.records {
+            if let RunOutcome::Success(r) = record {
+                r.wall_ms = 0.0;
+            }
+        }
+        manifest
+    };
+    let clean = run(&[]);
+    assert_eq!(clean.successes().count(), 21, "3 workloads x 7 systems");
+    let polluted = run(&[
+        ("BENCH_SWEEP_WORKLOADS", "bogus"),
+        ("BENCH_JOBS", "0"),
+        ("BENCH_FAULT_PLAN", "garbage"),
+    ]);
+    assert_eq!(clean, polluted);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -36,29 +36,6 @@ const SYSTEMS: [SystemKind; 3] = [
     SystemKind::StreamEcdpThrottled,
 ];
 
-/// Every legacy variable the request layer reads — scrubbed from child
-/// processes so the tests are hermetic against the caller's environment.
-const BENCH_VARS: [&str; 18] = [
-    "BENCH_SWEEP_WORKLOADS",
-    "BENCH_SWEEP_INPUT",
-    "BENCH_SWEEP_SYSTEMS",
-    "BENCH_JOBS",
-    "BENCH_RETRY_ATTEMPTS",
-    "BENCH_RETRY_BACKOFF_MS",
-    "BENCH_CELL_DEADLINE_MS",
-    "BENCH_CHECKPOINT_DIR",
-    "BENCH_WARM_CYCLES",
-    "BENCH_RESULT_STORE",
-    "BENCH_STORE_COMPACT",
-    "BENCH_FAULT_PLAN",
-    "BENCH_TRACE_CACHE",
-    "BENCH_LAB_DIR",
-    "BENCH_VERBOSE",
-    "BENCH_VALIDATE_THRESHOLDS",
-    "BENCH_BASELINE",
-    "BENCH_UPDATE_GOLDEN",
-];
-
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ecdp-service-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -114,7 +91,7 @@ fn wait_done(job: &Arc<Job>) {
 fn concurrent_clients_coalesce_overlap_and_match_solo_run() {
     let dir = scratch("concurrent");
     let store = Arc::new(ResultStore::open(dir.join("results.store")));
-    let svc = Arc::new(SweepService::start(Some(store), 4));
+    let svc = Arc::new(SweepService::start(bench::Lab::new(), Some(store), 4));
 
     let grid = |workloads: &[&str]| {
         SweepRequest::default()
@@ -185,8 +162,9 @@ fn concurrent_clients_coalesce_overlap_and_match_solo_run() {
 // ---------------------------------------------------------------------
 
 /// Spawns `sweepd` on an OS-picked port and returns the child plus the
-/// bound address parsed from its stdout banner.
-fn spawn_sweepd(store: &Path, jobs: usize, extra_env: &[(&str, &str)]) -> (Child, String) {
+/// bound address parsed from its stdout banner. `config` is an optional
+/// `--config` request document.
+fn spawn_sweepd(store: &Path, jobs: usize, config: Option<&Path>) -> (Child, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweepd"));
     cmd.arg("--addr")
         .arg("127.0.0.1:0")
@@ -196,11 +174,8 @@ fn spawn_sweepd(store: &Path, jobs: usize, extra_env: &[(&str, &str)]) -> (Child
         .arg(store)
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    for var in BENCH_VARS {
-        cmd.env_remove(var);
-    }
-    for (k, v) in extra_env {
-        cmd.env(k, v);
+    if let Some(config) = config {
+        cmd.arg("--config").arg(config);
     }
     let mut child = cmd.spawn().unwrap();
     let mut banner = String::new();
@@ -323,7 +298,7 @@ fn event_kind(e: &Json) -> &str {
 fn sweepd_serves_golden_grid_and_memoizes_across_posts() {
     let dir = scratch("e2e");
     let store = dir.join("results.store");
-    let (mut child, addr) = spawn_sweepd(&store, 2, &[]);
+    let (mut child, addr) = spawn_sweepd(&store, 2, None);
 
     let (status, body) = http(&addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
@@ -400,7 +375,9 @@ fn sweepd_restart_resumes_from_store_without_resimulating() {
 
     // Single worker plus a wildcard slowdown (wall-clock only, stats
     // untouched) so the kill reliably lands mid-sweep.
-    let (mut child, addr) = spawn_sweepd(&store, 1, &[("BENCH_FAULT_PLAN", "slow@*=250")]);
+    let config = dir.join("slow.json");
+    std::fs::write(&config, r#"{"fault_plan":"slow@*=250"}"#).unwrap();
+    let (mut child, addr) = spawn_sweepd(&store, 1, Some(&config));
     let resp = post_sweep(&addr, smoke_body());
     let job = num(&resp, "job");
     let mut stream = EventStream::open(&addr, job);
@@ -421,7 +398,7 @@ fn sweepd_restart_resumes_from_store_without_resimulating() {
 
     // Restart on the same store, no faults: the committed cells are
     // answered at submit time and only the remainder simulates.
-    let (mut child, addr) = spawn_sweepd(&store, 2, &[]);
+    let (mut child, addr) = spawn_sweepd(&store, 2, None);
     let resp = post_sweep(&addr, smoke_body());
     let job = num(&resp, "job");
     let hits = num(&resp, "hit");

@@ -101,11 +101,12 @@ fn write_xtrc(path: &Path) {
 }
 
 fn run_all(dir: &Path, args: &[&str]) -> Output {
+    // One cheap system keeps the grid small; the `--workload-file` flags
+    // layer over this config exactly as a user's would.
+    std::fs::write(dir.join("request.json"), r#"{"systems":["stream"]}"#).unwrap();
     Command::new(env!("CARGO_BIN_EXE_run_all"))
         .current_dir(dir)
-        // One cheap system keeps the grid small; the request layer turns
-        // this into the authoritative config exactly as a user would.
-        .env("BENCH_SWEEP_SYSTEMS", "stream")
+        .args(["--config", "request.json"])
         .args(args)
         .output()
         .expect("spawn run_all")

@@ -68,7 +68,6 @@ pub mod stats;
 pub mod stream;
 pub mod throttling;
 pub mod trace;
-pub mod trace_io;
 pub mod validate;
 
 pub use cache::{Cache, CacheConfig, LineState};

@@ -82,48 +82,9 @@ pub trait Workload {
     fn generate(&self, input: InputSet) -> Trace;
 }
 
-fn boxed(handle: WorkloadHandle) -> Box<dyn Workload> {
-    Box::new(registry::HandleWorkload(handle))
-}
-
-/// The 15 pointer-intensive workloads of the paper's main evaluation, in
-/// the order of Table 1.
-#[deprecated(note = "use workloads::registry::suite(registry::SUITE_POINTER)")]
-pub fn pointer_suite() -> Vec<Box<dyn Workload>> {
-    registry::suite(registry::SUITE_POINTER)
-        .into_iter()
-        .map(boxed)
-        .collect()
-}
-
-/// The non-pointer-intensive workloads used for §6.7 and the multi-core
-/// mixes.
-#[deprecated(note = "use workloads::registry::suite(registry::SUITE_STREAMING)")]
-pub fn streaming_suite() -> Vec<Box<dyn Workload>> {
-    registry::suite(registry::SUITE_STREAMING)
-        .into_iter()
-        .map(boxed)
-        .collect()
-}
-
-/// Looks a workload up by name across everything registered (built-in
-/// suites and loaded files).
-#[deprecated(note = "use workloads::registry::lookup")]
-pub fn by_name(name: &str) -> Option<Box<dyn Workload>> {
-    registry::lookup(name).map(boxed)
-}
-
 #[cfg(test)]
-#[allow(clippy::unwrap_used, deprecated)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deprecated_suites_still_serve_paper_counts() {
-        assert_eq!(pointer_suite().len(), 15);
-        // 8 SPEC streaming/compute stand-ins + 4 remaining Olden programs.
-        assert_eq!(streaming_suite().len(), 12);
-    }
 
     #[test]
     fn names_are_unique() {
@@ -132,14 +93,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before);
-    }
-
-    #[test]
-    fn by_name_finds_both_suites() {
-        assert!(by_name("mst").is_some());
-        assert!(by_name("libquantum").is_some());
-        assert!(by_name("nonexistent").is_none());
-        assert!(by_name("mst").unwrap().pointer_intensive());
-        assert!(!by_name("libquantum").unwrap().pointer_intensive());
     }
 }

@@ -1,12 +1,11 @@
 //! Open workload registry: one lookup/enumeration path for built-in
 //! kernels and loader-produced specs.
 //!
-//! The registry replaces the closed `pointer_suite()` / `streaming_suite()`
-//! / `by_name()` trio. Built-ins register at first use under their paper
-//! suite tags ([`SUITE_POINTER`], [`SUITE_STREAMING`]); files loaded at
-//! runtime via [`register_file`] join under [`SUITE_LOADED`] with a
-//! provenance content hash, so manifests, the result store and `--resume`
-//! can prove two runs used the same bytes. Three file kinds are accepted,
+//! Built-ins register at first use under their paper suite tags
+//! ([`SUITE_POINTER`], [`SUITE_STREAMING`]); files loaded at runtime via
+//! [`register_file`] join under [`SUITE_LOADED`] with a provenance
+//! content hash, so manifests, the result store and `--resume` can prove
+//! two runs used the same bytes. Three file kinds are accepted,
 //! dispatched by extension:
 //!
 //! * `.wl` — workload DSL (may declare several workloads per file);
@@ -157,29 +156,6 @@ impl std::fmt::Debug for WorkloadHandle {
             .field("name", &self.name())
             .field("streamed", &self.is_streamed())
             .finish()
-    }
-}
-
-/// Adapter presenting a [`WorkloadHandle`] through the [`Workload`] trait
-/// (the deprecated suite functions return these).
-#[derive(Debug)]
-pub struct HandleWorkload(pub WorkloadHandle);
-
-impl Workload for HandleWorkload {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn pointer_intensive(&self) -> bool {
-        self.0.pointer_intensive()
-    }
-
-    fn describe(&self) -> &'static str {
-        self.0.describe()
-    }
-
-    fn generate(&self, input: InputSet) -> Trace {
-        self.0.generate(input)
     }
 }
 

@@ -1,32 +1,32 @@
-//! Trace tooling: record a workload trace, save it to disk, reload it,
-//! and verify the replay is bit-identical.
+//! Trace tooling: export a workload trace as a binary external trace,
+//! reopen it, and verify the streamed replay is bit-identical.
 //!
 //! ```text
-//! cargo run --release -p ecdp --example trace_tools [workload] [file.trc|file.xtrc]
+//! cargo run --release -p ecdp --example trace_tools [workload] [file.xtrc]
 //! ```
 //!
-//! The output extension picks the format:
-//!
-//! * `.trc` — the harness's compact resident format (the
-//!   `BENCH_TRACE_CACHE` disk-cache workflow): save, reload, replay both
-//!   copies and compare.
-//! * `.xtrc` — the versioned *external* streamed-trace format accepted by
-//!   `run_all --workload-file`: export, then replay it through
-//!   `Machine::run_streamed` in bounded windows and compare against the
-//!   resident run. This is how a `.xtrc` fixture for the bring-your-own-
-//!   workload frontend is fabricated from a built-in kernel.
+//! The `.xtrc` file is the versioned *external* streamed-trace format
+//! accepted by `run_all --workload-file`: the example exports it, then
+//! replays it through `Machine::run_streamed` in bounded windows and
+//! compares against the resident run. This is how a `.xtrc` fixture for
+//! the bring-your-own-workload frontend is fabricated from a built-in
+//! kernel.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
-use sim_core::{trace_io, ExternalTrace, Machine, MachineConfig, XtraceWriter};
+use sim_core::{ExternalTrace, Machine, MachineConfig, XtraceWriter};
 use workloads::{registry, InputSet};
 
 fn main() -> std::io::Result<()> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mst".to_string());
     let path = std::env::args()
         .nth(2)
-        .unwrap_or_else(|| format!("target/{name}-train.trc"));
+        .unwrap_or_else(|| format!("target/{name}-train.xtrc"));
+    if !path.ends_with(".xtrc") {
+        eprintln!("output path {path} must end in .xtrc");
+        std::process::exit(2);
+    }
     let workload = registry::lookup(&name).unwrap_or_else(|| {
         eprintln!("unknown workload {name}");
         std::process::exit(1);
@@ -45,53 +45,34 @@ fn main() -> std::io::Result<()> {
         .run(&trace)
         .expect("run");
 
-    if path.ends_with(".xtrc") {
-        let mut w = XtraceWriter::new(BufWriter::new(File::create(&path)?), &trace.initial_memory)?;
-        for op in &trace.ops {
-            w.push(op)?;
-        }
-        w.finish()?;
-        let bytes = std::fs::metadata(&path)?.len();
-        println!(
-            "  exported external trace {path} ({:.1} MB)",
-            bytes as f64 / 1e6
-        );
-
-        let mut xt = ExternalTrace::open(&path).unwrap_or_else(|e| {
-            eprintln!("reopen failed: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "  reopened: {} ops, content hash {:016x}",
-            xt.op_count(),
-            xt.content_hash()
-        );
-        let b = Machine::new(MachineConfig::default())
-            .run_streamed(&mut xt)
-            .expect("streamed run");
-        assert_eq!(a, b, "streamed replay must match the resident run");
-        println!(
-            "  replay check: {} cycles streamed in a {}-op window — identical ✓",
-            b.cycles,
-            xt.max_resident_ops()
-        );
-        return Ok(());
+    let mut w = XtraceWriter::new(BufWriter::new(File::create(&path)?), &trace.initial_memory)?;
+    for op in &trace.ops {
+        w.push(op)?;
     }
-
-    trace_io::write(&trace, &mut BufWriter::new(File::create(&path)?))?;
+    w.finish()?;
     let bytes = std::fs::metadata(&path)?.len();
-    println!("  saved to {path} ({:.1} MB)", bytes as f64 / 1e6);
-
-    let reloaded = trace_io::read(&mut BufReader::new(File::open(&path)?))?;
-    println!("  reloaded: {} ops", reloaded.ops.len());
-
-    let b = Machine::new(MachineConfig::default())
-        .run(&reloaded)
-        .expect("run");
-    assert_eq!(a.cycles, b.cycles, "replays must be identical");
     println!(
-        "  replay check: {} cycles, {} bus transfers — identical both ways ✓",
-        a.cycles, a.bus_transfers
+        "  exported external trace {path} ({:.1} MB)",
+        bytes as f64 / 1e6
+    );
+
+    let mut xt = ExternalTrace::open(&path).unwrap_or_else(|e| {
+        eprintln!("reopen failed: {e}");
+        std::process::exit(1);
+    });
+    println!(
+        "  reopened: {} ops, content hash {:016x}",
+        xt.op_count(),
+        xt.content_hash()
+    );
+    let b = Machine::new(MachineConfig::default())
+        .run_streamed(&mut xt)
+        .expect("streamed run");
+    assert_eq!(a, b, "streamed replay must match the resident run");
+    println!(
+        "  replay check: {} cycles streamed in a {}-op window — identical ✓",
+        b.cycles,
+        xt.max_resident_ops()
     );
     Ok(())
 }

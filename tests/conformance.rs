@@ -16,7 +16,7 @@ use std::process::Command;
 
 use bench::validate::PROPERTIES;
 use bench::{run_conformance, FaultAction, FaultPlan, Lab, ValidateReport};
-use sim_core::Json;
+use sim_core::{Json, ThrottleThresholds};
 use workloads::InputSet;
 
 const SMOKE: [&str; 3] = ["mst", "health", "libquantum"];
@@ -30,7 +30,12 @@ fn smoke_names() -> Vec<String> {
 #[test]
 fn conformance_properties_hold_on_the_smoke_grid() {
     let lab = Lab::new();
-    let report = run_conformance(&lab, &smoke_names(), InputSet::Test);
+    let report = run_conformance(
+        &lab,
+        &smoke_names(),
+        InputSet::Test,
+        &ThrottleThresholds::default(),
+    );
     assert_eq!(
         report.results.len(),
         PROPERTIES.len() * SMOKE.len(),
@@ -54,7 +59,12 @@ fn injected_fault_fails_the_properties_that_run_it() {
     let mut faults = FaultPlan::none();
     faults.push(FaultAction::Panic, "mst", "test", "stream+cdp");
     let lab = Lab::with_faults(faults);
-    let report = run_conformance(&lab, &smoke_names(), InputSet::Test);
+    let report = run_conformance(
+        &lab,
+        &smoke_names(),
+        InputSet::Test,
+        &ThrottleThresholds::default(),
+    );
     assert!(!report.passed());
 
     // The faulted cell (unthrottled stream+cdp via the lab cache) is
@@ -157,19 +167,23 @@ fn run_all_validate_gate_end_to_end() {
     std::fs::create_dir_all(&dir).unwrap();
     let report_path = dir.join("VALIDATE_report.json");
 
-    let run = |envs: &[(&str, &str)]| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
-        cmd.arg("--validate")
+    let config_path = dir.join("request.json");
+    let run = |extra: &str| {
+        std::fs::write(
+            &config_path,
+            format!(
+                r#"{{"workloads":["mst"],"input":"test","lab_dir":{:?}{extra}}}"#,
+                dir.display().to_string()
+            ),
+        )
+        .unwrap();
+        Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .arg("--validate")
             .arg(&report_path)
-            .env("BENCH_LAB_DIR", &dir)
-            .env("BENCH_SWEEP_WORKLOADS", "mst")
-            .env("BENCH_SWEEP_INPUT", "test")
-            .env_remove("BENCH_FAULT_PLAN")
-            .env_remove("BENCH_VALIDATE_THRESHOLDS");
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        cmd.output().expect("run_all spawns")
+            .arg("--config")
+            .arg(&config_path)
+            .output()
+            .expect("run_all spawns")
     };
     let load_report = || {
         let text = std::fs::read_to_string(&report_path).expect("report written");
@@ -177,7 +191,7 @@ fn run_all_validate_gate_end_to_end() {
     };
 
     // Clean pass: exit 0, all properties recorded as held.
-    let out = run(&[]);
+    let out = run("");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "clean run must pass\n{stderr}");
     let report = load_report();
@@ -186,7 +200,7 @@ fn run_all_validate_gate_end_to_end() {
 
     // Broken thresholds injected through the documented hook: the
     // Table 3 re-derivation must mismatch and the gate must exit 2.
-    let out = run(&[("BENCH_VALIDATE_THRESHOLDS", "1.1,1.1,1.1")]);
+    let out = run(r#","validate_thresholds":"1.1,1.1,1.1""#);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -200,7 +214,7 @@ fn run_all_validate_gate_end_to_end() {
     assert_eq!(failed[0].property, "table3-rederivation");
 
     // An injected cell fault also trips the gate with exit 2.
-    let out = run(&[("BENCH_FAULT_PLAN", "panic@mst:test:stream+cdp")]);
+    let out = run(r#","fault_plan":"panic@mst:test:stream+cdp""#);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -209,5 +223,34 @@ fn run_all_validate_gate_end_to_end() {
     );
     assert!(!load_report().passed());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed `validate_thresholds` value never reaches the suite: the
+/// request is rejected as a usage error (exit 2) naming the field, and
+/// no report is written.
+#[test]
+fn malformed_validate_thresholds_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("bench-thresholds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config_path = dir.join("request.json");
+    std::fs::write(
+        &config_path,
+        r#"{"workloads":["mst"],"input":"test","validate_thresholds":"1.1,x"}"#,
+    )
+    .unwrap();
+    let report_path = dir.join("VALIDATE_report.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg("--validate")
+        .arg(&report_path)
+        .arg("--config")
+        .arg(&config_path)
+        .output()
+        .expect("run_all spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("validate_thresholds"), "{stderr}");
+    assert!(!report_path.exists(), "no report for a rejected request");
     let _ = std::fs::remove_dir_all(&dir);
 }
