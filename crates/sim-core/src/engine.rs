@@ -1141,7 +1141,7 @@ impl CoreSim {
     /// True if the core has work it could perform on the very next cycle
     /// (used for idle-skip decisions). `dram_full` tells the core whether
     /// the shared request buffer can accept anything.
-    fn has_immediate_work<O: OpSource>(&self, ops: &mut O, now: u64, dram_full: bool) -> bool {
+    fn has_immediate_work<O: OpSource>(&self, ops: &mut O, dram_full: bool) -> bool {
         if let Some(req) = self.pf_queue.front() {
             let block = block_of(req.addr);
             // A resident target would simply be dropped (progress), and a
@@ -1166,14 +1166,14 @@ impl CoreSim {
                 return true;
             }
         }
-        if self.lsq_used < self.cfg.core.lsq_size {
-            for i in 0..self.pending_mem.len() {
-                let dep = ops.op(self.pending_mem[i] as usize).dep;
-                if dep == NO_DEP || self.completed.get(dep as usize) <= now {
-                    return true;
-                }
-            }
-        }
+        // Pending memory ops need no check. The caller asks only after a
+        // cycle with no activity, so no op issued and the L2 port stayed
+        // free: every ready op in `pending_mem` was tried this cycle and
+        // stalled on `mshrs.is_full() || dram.is_full()`. An MSHR is freed
+        // only in `apply_completion` and buffer occupancy falls only when
+        // `Dram::tick` drains a request, both at cycles `dram.next_event`
+        // reports — so stepping one cycle at a time before then would
+        // crawl through the stall without changing any state.
         false
     }
 
@@ -2193,7 +2193,7 @@ impl Machine {
             if sims
                 .iter()
                 .zip(ops.iter_mut())
-                .any(|(sim, ops)| sim.has_immediate_work(ops, now, dram_full))
+                .any(|(sim, ops)| sim.has_immediate_work(ops, dram_full))
             {
                 now += 1;
                 continue;
@@ -2453,6 +2453,48 @@ mod tests {
             "compute IPC {} should near retire width",
             stats.ipc()
         );
+    }
+
+    #[test]
+    fn mshr_saturation_skips_exactly() {
+        // Stores free their LSQ slot at once but hold an RFO MSHR until
+        // the fill, so a burst of stores to distinct blocks fills all 32
+        // MSHRs while the LSQ stays free, and the interleaved loads stall
+        // on `mshrs.is_full()` with no producer to wait for.
+        let mut tb = TraceBuilder::new(SimMemory::new());
+        for i in 0..512u32 {
+            let addr = layout::HEAP_BASE + i * (8 * 1024 + 64);
+            if i % 4 == 3 {
+                tb.load(0x400, addr, None);
+            } else {
+                tb.store(0x500, addr, i, None);
+            }
+        }
+        let trace = tb.finish();
+        let run = |buffer: u32, reference: bool| {
+            let mut cfg = MachineConfig::default();
+            cfg.dram.request_buffer_per_core = buffer;
+            let mut m = Machine::new(cfg);
+            m.set_reference_stepping(reference);
+            m.run(&trace).expect("run")
+        };
+        // Default buffer (MSHRs and buffer fill together), then a deep
+        // buffer so the full MSHRs alone are the stall.
+        for buffer in [32, 128] {
+            let skip = run(buffer, false);
+            let reference = run(buffer, true);
+            assert_eq!(format!("{skip:?}"), format!("{reference:?}"));
+            assert_eq!(skip, reference);
+        }
+        // Mid-run, every MSHR is taken.
+        let mut m = Machine::new(MachineConfig::default());
+        m.set_cycle_budget(Some(5_000));
+        match m.run(&trace) {
+            Err(SimError::CycleBudgetExceeded { snapshot, .. }) => {
+                assert_eq!(snapshot.mshr_occupancy, 32);
+            }
+            other => panic!("expected the cycle budget to stop the run: {other:?}"),
+        }
     }
 
     #[test]

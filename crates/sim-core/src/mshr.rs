@@ -51,17 +51,26 @@ pub struct MshrEntry {
 #[derive(Debug)]
 pub struct MshrFile {
     entries: Vec<Option<MshrEntry>>,
+    /// Block address held by each slot, [`FREE`] when the slot is empty:
+    /// a compact mirror of `entries` that [`MshrFile::find`] scans instead
+    /// of the full entries.
+    blocks: Vec<Addr>,
     occupied: u32,
     /// Retired waiter vectors awaiting reuse by [`MshrFile::alloc`], so
     /// the steady state allocates no per-miss `Vec`s.
     spare_waiters: Vec<Vec<u32>>,
 }
 
+/// Marks a free slot in [`MshrFile::blocks`]. Block addresses are 64-byte
+/// aligned, so no real block ever equals it.
+const FREE: Addr = Addr::MAX;
+
 impl MshrFile {
     /// Creates an MSHR file with `capacity` entries.
     pub fn new(capacity: u32) -> Self {
         MshrFile {
             entries: (0..capacity).map(|_| None).collect(),
+            blocks: vec![FREE; capacity as usize],
             occupied: 0,
             spare_waiters: Vec::new(),
         }
@@ -79,9 +88,7 @@ impl MshrFile {
 
     /// Finds the slot holding `block_addr`, if any.
     pub fn find(&self, block_addr: Addr) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.block_addr == block_addr))
+        self.blocks.iter().position(|&b| b == block_addr)
     }
 
     /// Immutable access to a slot.
@@ -111,7 +118,9 @@ impl MshrFile {
         trigger_addr: Addr,
     ) -> Option<usize> {
         debug_assert!(self.find(block_addr).is_none(), "duplicate MSHR");
-        let slot = self.entries.iter().position(Option::is_none)?;
+        debug_assert_ne!(block_addr, FREE, "MSHR blocks are 64-byte aligned");
+        let slot = self.find(FREE)?;
+        self.blocks[slot] = block_addr;
         self.entries[slot] = Some(MshrEntry {
             block_addr,
             kind,
@@ -134,6 +143,7 @@ impl MshrFile {
     /// Panics if the slot is already free.
     pub fn free(&mut self, slot: usize) -> MshrEntry {
         let e = self.entries[slot].take().expect("double free of MSHR slot");
+        self.blocks[slot] = FREE;
         self.occupied -= 1;
         e
     }
@@ -195,6 +205,7 @@ impl MshrFile {
         for slot in &mut self.entries {
             *slot = None;
         }
+        self.blocks.fill(FREE);
         for i in 0..n {
             if !r.bool()? {
                 continue;
@@ -218,6 +229,12 @@ impl MshrFile {
             }
             let demand_merged = r.bool()?;
             let store_merged = r.bool()?;
+            if block_addr == FREE {
+                return Err(SnapshotError::Malformed(format!(
+                    "MSHR {i} holds the free-slot sentinel as its block"
+                )));
+            }
+            self.blocks[i] = block_addr;
             self.entries[i] = Some(MshrEntry {
                 block_addr,
                 kind,
@@ -285,6 +302,60 @@ mod tests {
         let s = m.alloc(0x200, AccessKind::DemandLoad, 2, 0x200).unwrap();
         assert_eq!(m.find(0x200), Some(s));
         assert_eq!(m.find(0x300), None);
+    }
+
+    #[test]
+    fn block_index_follows_alloc_free_and_restore() {
+        let mut m = MshrFile::new(4);
+        let a = m.alloc(0x100, AccessKind::DemandLoad, 1, 0x100).unwrap();
+        let b = m.alloc(0x200, AccessKind::DemandLoad, 1, 0x200).unwrap();
+        let c = m.alloc(0x300, AccessKind::DemandLoad, 1, 0x300).unwrap();
+        m.free(b);
+        assert_eq!(m.find(0x200), None);
+        // The lowest free slot is reused, as before the index existed.
+        assert_eq!(m.alloc(0x400, AccessKind::DemandLoad, 1, 0x400), Some(b));
+        assert_eq!(
+            (m.find(0x100), m.find(0x300), m.find(0x400)),
+            (Some(a), Some(c), Some(b))
+        );
+
+        let mut w = SnapWriter::new();
+        m.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = MshrFile::new(4);
+        restored
+            .alloc(0x900, AccessKind::DemandLoad, 1, 0x900)
+            .unwrap();
+        restored
+            .restore_state(&mut SnapReader::new(&bytes))
+            .unwrap();
+        assert_eq!(restored.find(0x900), None);
+        assert_eq!(restored.find(0x400), Some(b));
+        assert_eq!(restored.find(0x300), Some(c));
+        assert_eq!(
+            restored.alloc(0x500, AccessKind::DemandLoad, 1, 0x500),
+            Some(3)
+        );
+        assert!(restored.is_full());
+    }
+
+    #[test]
+    fn restore_rejects_the_free_sentinel_as_a_block() {
+        let mut w = SnapWriter::new();
+        w.u32(1);
+        w.bool(true);
+        w.u32(FREE);
+        write_access_kind(&mut w, AccessKind::DemandLoad);
+        w.u32(0x400);
+        w.u32(0x400);
+        w.u8(0);
+        w.bool(false);
+        w.u32(0);
+        w.bool(false);
+        w.bool(false);
+        let bytes = w.into_bytes();
+        let mut m = MshrFile::new(1);
+        assert!(m.restore_state(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -10,10 +10,17 @@ pub const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_BYTES as u32) - 1;
 /// Number of pages in the 32-bit address space.
 const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
+/// Page slots per leaf of the page table: one leaf spans 4 MiB.
+const LEAF_SHIFT: u32 = 10;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
+/// Leaves in the page-table directory.
+const NUM_LEAVES: usize = NUM_PAGES / LEAF_PAGES;
 
-/// Pages are reference-counted so cloning a memory image is a
-/// page-*table* copy, not a page-*data* copy; writes un-share lazily.
+/// Pages are reference-counted so cloning a memory image copies page
+/// *pointers*, not page *data*; writes un-share lazily.
 type Page = Arc<[u8; PAGE_BYTES]>;
+/// One second-level table: the page slots of a 4 MiB address range.
+type Leaf = [Option<Page>; LEAF_PAGES];
 
 /// A sparse, byte-addressable simulated 32-bit memory.
 ///
@@ -21,12 +28,19 @@ type Page = Arc<[u8; PAGE_BYTES]>;
 /// return zero, which conveniently never looks like a heap pointer to the
 /// CDP compare-bits predictor.
 ///
+/// The page table has two levels: a directory of 1024 leaves, each
+/// holding the slots of 1024 pages, and a leaf is allocated only on the
+/// first write into its 4 MiB range. An empty memory therefore costs an
+/// 8 KiB directory, and a populated one 8 KiB more per touched range —
+/// the table follows what the workload touches, not the size of the
+/// address space.
+///
 /// Cloning is copy-on-write: the clone shares every resident page with
 /// the original, and either side transparently un-shares a page the
 /// first time it writes to it. Clones therefore behave exactly like deep
-/// copies while costing only a page-table copy — which is what lets the
-/// engine treat `trace.initial_memory.clone()` as a cheap per-run
-/// snapshot restore.
+/// copies while costing only a copy of the directory and the touched
+/// leaves — which is what lets the engine treat
+/// `trace.initial_memory.clone()` as a cheap per-run snapshot restore.
 ///
 /// All multi-byte accessors are little-endian (the modelled ISA is x86) and
 /// impose no alignment requirements.
@@ -42,16 +56,17 @@ type Page = Arc<[u8; PAGE_BYTES]>;
 /// assert_eq!(mem.read_u32(0x5000_0000), 0); // untouched => zero
 /// ```
 pub struct SimMemory {
-    pages: Vec<Option<Page>>,
+    leaves: Box<[Option<Box<Leaf>>; NUM_LEAVES]>,
     resident: usize,
 }
 
 impl SimMemory {
     /// Creates an empty memory with no resident pages.
     pub fn new() -> Self {
-        let mut pages = Vec::new();
-        pages.resize_with(NUM_PAGES, || None);
-        SimMemory { pages, resident: 0 }
+        SimMemory {
+            leaves: Box::new([const { None }; NUM_LEAVES]),
+            resident: 0,
+        }
     }
 
     /// Number of 4 KB pages currently resident (lazily allocated).
@@ -62,22 +77,26 @@ impl SimMemory {
     /// Indices of the resident 4 KB pages (page `i` spans addresses
     /// `i * 4096 .. (i + 1) * 4096`), in ascending order.
     pub fn resident_page_indices(&self) -> Vec<u32> {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| i as u32)
-            .collect()
+        let mut indices = Vec::with_capacity(self.resident);
+        for (l, leaf) in self.leaves.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            for (s, slot) in leaf.iter().enumerate() {
+                if slot.is_some() {
+                    indices.push(((l << LEAF_SHIFT) | s) as u32);
+                }
+            }
+        }
+        indices
     }
 
     /// Raw bytes of the resident page `index` (see
     /// [`SimMemory::resident_page_indices`]), or `None` if the page was
     /// never touched. Used by the warm-state snapshot serializer.
     pub fn page_bytes(&self, index: u32) -> Option<&[u8]> {
-        self.pages
-            .get(index as usize)
-            .and_then(|p| p.as_ref())
-            .map(|p| p.as_slice())
+        if index as usize >= NUM_PAGES {
+            return None;
+        }
+        self.page(index << PAGE_SHIFT).map(|p| p.as_slice())
     }
 
     /// Installs a full page image at `index`, allocating it if absent.
@@ -86,12 +105,13 @@ impl SimMemory {
     /// range or `data` is not exactly [`PAGE_BYTES`] long — the snapshot
     /// decoder turns that into a structured error instead of panicking.
     pub fn install_page(&mut self, index: u32, data: &[u8]) -> bool {
-        let Some(slot) = self.pages.get_mut(index as usize) else {
+        if index as usize >= NUM_PAGES {
             return false;
-        };
+        }
         let Ok(page) = <&[u8; PAGE_BYTES]>::try_from(data) else {
             return false;
         };
+        let slot = Self::slot_mut(&mut self.leaves, index << PAGE_SHIFT);
         if slot.is_none() {
             self.resident += 1;
         }
@@ -99,25 +119,36 @@ impl SimMemory {
         true
     }
 
+    /// Directory and leaf positions of the page holding `addr`.
     #[inline]
-    fn page_index(addr: Addr) -> usize {
-        (addr >> PAGE_SHIFT) as usize
+    fn split(addr: Addr) -> (usize, usize) {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        (page >> LEAF_SHIFT, page & (LEAF_PAGES - 1))
     }
 
     #[inline]
     fn page(&self, addr: Addr) -> Option<&Page> {
-        self.pages[Self::page_index(addr)].as_ref()
+        let (l, s) = Self::split(addr);
+        self.leaves[l].as_ref()?[s].as_ref()
+    }
+
+    /// The slot of the page holding `addr`, allocating its leaf if absent.
+    #[inline]
+    fn slot_mut(leaves: &mut [Option<Box<Leaf>>; NUM_LEAVES], addr: Addr) -> &mut Option<Page> {
+        let (l, s) = Self::split(addr);
+        let leaf = leaves[l].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        &mut leaf[s]
     }
 
     #[inline]
     fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES] {
-        let idx = Self::page_index(addr);
-        if self.pages[idx].is_none() {
-            self.pages[idx] = Some(Arc::new([0u8; PAGE_BYTES]));
+        let slot = Self::slot_mut(&mut self.leaves, addr);
+        if slot.is_none() {
+            *slot = Some(Arc::new([0u8; PAGE_BYTES]));
             self.resident += 1;
         }
         // Copy-on-write: un-share the page if a clone still references it.
-        let page = self.pages[idx].as_mut().expect("page allocated above");
+        let page = slot.as_mut().expect("page allocated above");
         Arc::make_mut(page)
     }
 
@@ -245,16 +276,16 @@ impl Clone for SimMemory {
     /// Copy-on-write clone: shares every resident page with `self`.
     fn clone(&self) -> Self {
         SimMemory {
-            pages: self.pages.clone(),
+            leaves: self.leaves.clone(),
             resident: self.resident,
         }
     }
 
-    /// Restores `self` to `source`'s contents, reusing `self`'s existing
-    /// page-table allocation (the engine's rewind path calls this every
-    /// multi-core replay).
+    /// Restores `self` to `source`'s contents, reusing `self`'s directory
+    /// and every leaf both images have touched (the engine's rewind path
+    /// calls this every multi-core replay).
     fn clone_from(&mut self, source: &Self) {
-        self.pages.clone_from(&source.pages);
+        self.leaves.clone_from(&source.leaves);
         self.resident = source.resident;
     }
 }
@@ -271,6 +302,11 @@ impl std::fmt::Debug for SimMemory {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// True if `a` and `b` hold the same physical page for `addr`.
+    fn shares_page(a: &SimMemory, b: &SimMemory, addr: Addr) -> bool {
+        Arc::ptr_eq(a.page(addr).unwrap(), b.page(addr).unwrap())
+    }
 
     #[test]
     fn zero_initialised() {
@@ -352,21 +388,12 @@ mod tests {
         a.write_u32(0x2000, 8);
         let b = a.clone();
         // Pages are physically shared right after the clone.
-        assert!(Arc::ptr_eq(
-            a.pages[0].as_ref().unwrap(),
-            b.pages[0].as_ref().unwrap()
-        ));
+        assert!(shares_page(&a, &b, 0x100));
         // A write un-shares only the touched page.
         let mut c = b.clone();
         c.write_u8(0x101, 9);
-        assert!(!Arc::ptr_eq(
-            b.pages[0].as_ref().unwrap(),
-            c.pages[0].as_ref().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            b.pages[2].as_ref().unwrap(),
-            c.pages[2].as_ref().unwrap()
-        ));
+        assert!(!shares_page(&b, &c, 0x100));
+        assert!(shares_page(&b, &c, 0x2000));
         assert_eq!(b.read_u8(0x101), 0);
         assert_eq!(c.read_u8(0x101), 9);
         assert_eq!(c.read_u32(0x2000), 8);
@@ -393,5 +420,86 @@ mod tests {
         assert_eq!(mem.resident_pages(), 1);
         mem.write_u8(0x1000, 1);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn u32_straddling_a_leaf_boundary() {
+        let mut mem = SimMemory::new();
+        let boundary = (LEAF_PAGES * PAGE_BYTES) as Addr; // 4 MiB
+        mem.write_u32(boundary - 2, 0xA1B2_C3D4);
+        assert_eq!(mem.read_u32(boundary - 2), 0xA1B2_C3D4);
+        assert_eq!(mem.read_u8(boundary - 2), 0xD4);
+        assert_eq!(mem.read_u8(boundary + 1), 0xA1);
+        assert_eq!(mem.resident_pages(), 2);
+        assert_eq!(
+            mem.resident_page_indices(),
+            vec![LEAF_PAGES as u32 - 1, LEAF_PAGES as u32]
+        );
+    }
+
+    #[test]
+    fn top_page_is_addressable() {
+        let mut mem = SimMemory::new();
+        mem.write_u64(0xFFFF_FFF8, 0x0102_0304_0506_0708);
+        assert_eq!(mem.read_u64(0xFFFF_FFF8), 0x0102_0304_0506_0708);
+        assert_eq!(mem.resident_page_indices(), vec![0xF_FFFF]);
+        let page = mem.page_bytes(0xF_FFFF).unwrap();
+        assert_eq!(page[PAGE_BYTES - 1], 0x01);
+        let words = mem.read_block_words(0xFFFF_FFC0);
+        assert_eq!(words[14], 0x0506_0708);
+    }
+
+    #[test]
+    fn install_page_rejects_out_of_range_and_wrong_size() {
+        let mut mem = SimMemory::new();
+        let page = [7u8; PAGE_BYTES];
+        assert!(!mem.install_page(1 << 20, &page));
+        assert!(!mem.install_page(u32::MAX, &page));
+        assert!(!mem.install_page(3, &page[..PAGE_BYTES - 1]));
+        assert_eq!(mem.resident_pages(), 0);
+        assert!(mem.page_bytes(1 << 20).is_none());
+        assert!(mem.install_page(3, &page));
+        assert!(mem.install_page(3, &page)); // replacing is not a new page
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read_u8(3 * PAGE_BYTES as Addr), 7);
+    }
+
+    #[test]
+    fn resident_page_indices_ascend_across_leaves() {
+        let mut mem = SimMemory::new();
+        let addrs = [
+            0xC000_0000u32,
+            0x0040_1000,
+            0x8000_0000,
+            0x0000_2000,
+            0x0040_0000,
+        ];
+        for a in addrs {
+            mem.write_u8(a, 1);
+        }
+        let mut expected: Vec<u32> = addrs.iter().map(|a| a >> PAGE_SHIFT).collect();
+        expected.sort_unstable();
+        assert_eq!(mem.resident_page_indices(), expected);
+        assert_eq!(mem.resident_pages(), addrs.len());
+    }
+
+    #[test]
+    fn clone_from_a_smaller_image() {
+        let mut small = SimMemory::new();
+        small.write_u32(0x100, 1);
+        let mut big = SimMemory::new();
+        for leaf in 0..8u32 {
+            big.write_u32(leaf << 22 | 0x100, 2);
+        }
+        big.write_u32(0x2000, 3);
+        big.clone_from(&small);
+        assert_eq!(big.resident_pages(), 1);
+        assert_eq!(big.resident_page_indices(), vec![0]);
+        assert_eq!(big.read_u32(0x100), 1);
+        assert_eq!(big.read_u32(0x2000), 0);
+        assert_eq!(big.read_u32(5 << 22 | 0x100), 0);
+        // The restored image still un-shares on write.
+        big.write_u32(0x100, 4);
+        assert_eq!(small.read_u32(0x100), 1);
     }
 }
