@@ -7,18 +7,16 @@
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]
 //!                                               [--workload-file FILE]...
 //!                                               [--jobs N] [--filter SUBSTR]
-//!                                               [--resume] [--sweep] [--bench]
-//!                                               [--no-skip] [--trace-dir DIR]
+//!                                               [--resume] [--sweep] [--validate]
+//!                                               [--trace-dir DIR] [--store PATH]
 //!                                               [output.md]]
 //! ```
 //!
-//! `--bench` bypasses both phases and times the engine hot path over the
-//! same grid instead, writing `BENCH_hotpath.json` (see
-//! [`bench::hotpath`]); `--no-skip` runs the benchmark on the
-//! cycle-by-cycle reference stepper for comparison. `--validate` runs the
-//! paper-conformance suite (see [`bench::validate`]) over the grid's
-//! workloads instead, writes `VALIDATE_report.json`, and exits 2 when any
-//! property is violated.
+//! `--validate` bypasses both phases and runs the paper-conformance suite
+//! (see [`bench::validate`]) over the grid's workloads instead, writes
+//! `VALIDATE_report.json`, and exits 2 when any property is violated.
+//! Performance is measured by the separate `perfbench` package, not by
+//! `run_all`.
 //!
 //! Execution has two phases:
 //!
@@ -71,69 +69,6 @@ fn fail_usage(msg: &str) -> ! {
     eprintln!("run_all: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// `--bench`: time the engine hot path over the grid, write the report,
-/// and gate against the configured baseline report when set.
-fn run_bench(args: &RunAllArgs, request: &SweepRequest) -> ! {
-    let out_path = args
-        .out_path
-        .clone()
-        .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
-    let t = Instant::now();
-    eprintln!(
-        "[run_all] benching {} cells ({} workloads x {} systems, {:?} input{}{}) ...",
-        request.cell_count(),
-        request.workloads.len(),
-        request.systems.len(),
-        request.input,
-        if args.no_skip { ", no-skip" } else { "" },
-        if args.warm_fork { ", warm-fork" } else { "" },
-    );
-    let report = bench::run_hotpath_bench(
-        &request.workloads,
-        request.input,
-        &request.systems,
-        args.no_skip,
-        args.warm_fork,
-    );
-    eprintln!(
-        "[run_all] bench: {:.1} cells/sec, {:.2e} cycles/sec, peak RSS {} in {:.1?}",
-        report.cells_per_sec,
-        report.cycles_per_sec,
-        report
-            .peak_rss_bytes
-            .map_or_else(|| "n/a".to_string(), |b| format!("{} MiB", b >> 20)),
-        t.elapsed(),
-    );
-    std::fs::write(&out_path, report.to_json().to_string_pretty()).expect("write bench report");
-    println!("wrote {out_path}");
-    if let Some(baseline_path) = &request.baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| fail_usage(&format!("baseline {baseline_path:?}: {e}")));
-        let baseline = sim_core::Json::parse(&text)
-            .and_then(|j| bench::HotpathReport::from_json(&j))
-            .unwrap_or_else(|e| fail_usage(&format!("baseline {baseline_path:?}: {e}")));
-        if let Err(msg) = report.regression_check(&baseline, 0.2) {
-            eprintln!("[run_all] {msg}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[run_all] within 20% of baseline {baseline_path} ({:.1} cells/sec)",
-            baseline.cells_per_sec
-        );
-        // Against a cold baseline, warm-fork must actually pay for
-        // itself: ≥2x cells/sec, or the checkpoint path regressed.
-        if report.warm_fork && !baseline.warm_fork {
-            let ratio = report.cells_per_sec / baseline.cells_per_sec.max(1e-9);
-            eprintln!("[run_all] warm-fork speedup over cold baseline: {ratio:.2}x");
-            if ratio < 2.0 {
-                eprintln!("[run_all] warm-fork speedup below the 2x floor");
-                std::process::exit(1);
-            }
-        }
-    }
-    std::process::exit(0);
 }
 
 /// `--validate`: run the paper-conformance suite over the sweep grid's
@@ -208,9 +143,6 @@ fn main() {
     };
     let request =
         SweepRequest::resolve(args.config.as_deref(), flags).unwrap_or_else(|e| fail_usage(&e));
-    if args.bench {
-        run_bench(&args, &request);
-    }
     if args.validate {
         run_validate(&args, &request);
     }

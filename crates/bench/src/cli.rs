@@ -7,9 +7,8 @@
 
 /// Usage line printed on `--help` and on every parse error.
 pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]... [--jobs N]
-               [--filter SUBSTR] [--resume] [--sweep] [--bench] [--validate]
-               [--no-skip] [--warm-fork] [--trace-dir DIR] [--store PATH]
-               [output.md]
+               [--filter SUBSTR] [--resume] [--sweep] [--validate]
+               [--trace-dir DIR] [--store PATH] [output.md]
 
   --config FILE   load a SweepRequest JSON document (the same schema sweepd
                   accepts over HTTP; see examples/configs/). Precedence:
@@ -23,7 +22,8 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
   --jobs N        worker threads (default: the file's jobs, else available
                   parallelism)
   --filter SUBSTR only generate report sections whose name contains SUBSTR;
-                  with --sweep, keep only sweep cells matching SUBSTR
+                  with --sweep, keep only sweep cells whose workload or
+                  system contains SUBSTR (case-insensitive)
   --resume        skip sweep cells already recorded as successful in the
                   existing run_all manifest (same machine-config hash)
   --store PATH    persistent result store: serve sweep cells committed under
@@ -33,18 +33,9 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
                   the file's retry and store.compact fields set the retry
                   policy and compact the log after the sweep)
   --sweep         run only the sweep phase (no report sections)
-  --bench         time the engine hot path over the sweep grid and write
-                  BENCH_hotpath.json (or the positional output path); with
-                  the file's baseline set to a prior report, exit 1 when
-                  cells/sec regresses more than 20%
   --validate      run the paper-conformance suite over the sweep grid and
                   write VALIDATE_report.json (or the positional output
                   path); exit 2 when any property is violated
-  --no-skip       with --bench: run the cycle-by-cycle reference stepper
-                  instead of the event-skipping engine (for comparison)
-  --warm-fork     with --bench: time only the portion of each cell after
-                  a warm checkpoint at 70% of its cycles (the per-variant
-                  cost of a sweep row with checkpoints on disk)
   --trace-dir DIR run sweep cells with the observability layer enabled and
                   write per-cell timeseries.json + obs.jsonl under DIR
   output.md       report path (default: EXPERIMENTS.md)";
@@ -64,14 +55,8 @@ pub struct RunAllArgs {
     pub resume: bool,
     /// Run only the sweep phase.
     pub sweep_only: bool,
-    /// Run the hot-path throughput benchmark instead of the report.
-    pub bench: bool,
     /// Run the paper-conformance suite instead of the report.
     pub validate: bool,
-    /// With `bench`: disable event skip-ahead (reference stepper).
-    pub no_skip: bool,
-    /// With `bench`: time only the warm-forked tail of each cell.
-    pub warm_fork: bool,
     /// Directory for per-cell observability artifacts; enables tracing.
     pub trace_dir: Option<String>,
     /// Persistent result-store path; `None` falls back to the config
@@ -137,10 +122,7 @@ where
             }
             "--resume" => parsed.resume = true,
             "--sweep" => parsed.sweep_only = true,
-            "--bench" => parsed.bench = true,
             "--validate" => parsed.validate = true,
-            "--no-skip" => parsed.no_skip = true,
-            "--warm-fork" => parsed.warm_fork = true,
             "--trace-dir" => {
                 let v = args.next().ok_or("--trace-dir requires a value")?;
                 if v.is_empty() {
@@ -167,14 +149,8 @@ where
             }
         }
     }
-    if parsed.no_skip && !parsed.bench {
-        return Err("--no-skip only makes sense with --bench".to_string());
-    }
-    if parsed.warm_fork && !parsed.bench {
-        return Err("--warm-fork only makes sense with --bench".to_string());
-    }
-    if parsed.validate && (parsed.bench || parsed.sweep_only) {
-        return Err("--validate cannot be combined with --bench or --sweep".to_string());
+    if parsed.validate && parsed.sweep_only {
+        return Err("--validate cannot be combined with --sweep".to_string());
     }
     Ok(Parsed::Run(parsed))
 }
@@ -277,43 +253,15 @@ mod tests {
         assert!(parse(&["--trace-dir", ""]).is_err(), "empty value");
         assert!(parse(&["--jbos", "4"]).is_err(), "unknown flag");
         assert!(parse(&["--resume=now"]).is_err(), "unknown flag form");
+        // The hot-path bench mode and its modifiers are gone.
+        for flag in ["--bench", "--no-skip", "--warm-fork"] {
+            assert_eq!(parse(&[flag]), Err(format!("unknown flag {flag:?}")));
+        }
     }
 
     #[test]
     fn rejects_extra_positionals() {
         assert!(parse(&["a.md", "b.md"]).is_err());
-    }
-
-    #[test]
-    fn parses_bench_flags() {
-        let p = parse(&["--bench", "--no-skip", "out.json"]);
-        assert_eq!(
-            p,
-            Ok(Parsed::Run(RunAllArgs {
-                bench: true,
-                no_skip: true,
-                out_path: Some("out.json".to_string()),
-                ..RunAllArgs::default()
-            }))
-        );
-        assert!(parse(&["--no-skip"]).is_err(), "--no-skip requires --bench");
-    }
-
-    #[test]
-    fn parses_warm_fork_flag() {
-        let p = parse(&["--bench", "--warm-fork"]);
-        assert_eq!(
-            p,
-            Ok(Parsed::Run(RunAllArgs {
-                bench: true,
-                warm_fork: true,
-                ..RunAllArgs::default()
-            }))
-        );
-        assert!(
-            parse(&["--warm-fork"]).is_err(),
-            "--warm-fork requires --bench"
-        );
     }
 
     #[test]
@@ -327,7 +275,6 @@ mod tests {
                 ..RunAllArgs::default()
             }))
         );
-        assert!(parse(&["--validate", "--bench"]).is_err(), "exclusive");
         assert!(parse(&["--validate", "--sweep"]).is_err(), "exclusive");
         assert!(
             parse(&["--validate", "--jobs", "2"]).is_ok(),

@@ -15,7 +15,6 @@ pub mod cli;
 pub mod difftest;
 pub mod experiments;
 pub mod fault;
-pub mod hotpath;
 pub mod httpd;
 pub mod lab;
 pub mod manifest;
@@ -28,7 +27,6 @@ pub mod validate;
 
 pub use difftest::{random_cases, run_suite, DiffCase, DiffFailure, DiffOutcome};
 pub use fault::{FaultAction, FaultPlan};
-pub use hotpath::{run_hotpath_bench, HotpathCell, HotpathReport};
 pub use lab::{CheckpointConfig, Lab};
 pub use manifest::{
     config_hash, FailureRecord, Manifest, ManifestWriter, RetryInfo, RunOutcome, RunRecord,

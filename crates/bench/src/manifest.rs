@@ -485,7 +485,7 @@ impl Manifest {
     }
 
     /// True if a *successful* record for this exact cell (including the
-    /// machine-config hash) exists — the resume-skip criterion.
+    /// machine-config hash) exists — the resume-skip rule.
     pub fn has_success(&self, workload: &str, input: &str, system: &str, config: u64) -> bool {
         self.successes().any(|r| {
             r.workload == workload
@@ -713,7 +713,7 @@ mod tests {
         let f = sample_failure();
         assert!(
             !parsed.has_success(&f.workload, &f.input, &f.system, f.config_hash),
-            "failed cells must not satisfy the resume-skip criterion"
+            "failed cells must not satisfy the resume-skip rule"
         );
     }
 

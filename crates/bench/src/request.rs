@@ -141,8 +141,6 @@ pub struct RequestOverlay {
     pub verbose: Option<bool>,
     /// Table 3 re-derivation thresholds (written `cov,alow,ahigh`).
     pub validate_thresholds: Option<ThrottleThresholds>,
-    /// Hot-path benchmark baseline report path.
-    pub baseline: Option<String>,
 }
 
 impl RequestOverlay {
@@ -169,7 +167,6 @@ impl RequestOverlay {
             "lab_dir",
             "verbose",
             "validate_thresholds",
-            "baseline",
         ];
         let Json::Obj(pairs) = j else {
             return Err("request document must be a JSON object".to_string());
@@ -258,7 +255,6 @@ impl RequestOverlay {
             validate_thresholds: str_field(j, "validate_thresholds")?
                 .map(|t| parse_thresholds(&t))
                 .transpose()?,
-            baseline: str_field(j, "baseline")?,
             ..RequestOverlay::default()
         };
         if let Some(r) = j.get("retry") {
@@ -370,9 +366,6 @@ impl RequestOverlay {
                 )),
             ));
         }
-        if let Some(b) = &self.baseline {
-            pairs.push(("baseline", Json::Str(b.clone())));
-        }
         Json::obj(pairs)
     }
 
@@ -396,7 +389,6 @@ impl RequestOverlay {
             lab_dir: self.lab_dir.or(base.lab_dir),
             verbose: self.verbose.or(base.verbose),
             validate_thresholds: self.validate_thresholds.or(base.validate_thresholds),
-            baseline: self.baseline.or(base.baseline),
         }
     }
 }
@@ -438,8 +430,6 @@ pub struct SweepRequest {
     /// Table 3 re-derivation threshold override; `None` means the
     /// paper's Table 4 values.
     pub validate_thresholds: Option<ThrottleThresholds>,
-    /// Hot-path benchmark baseline report path.
-    pub baseline: Option<String>,
 }
 
 impl Default for SweepRequest {
@@ -461,7 +451,6 @@ impl Default for SweepRequest {
             lab_dir: None,
             verbose: false,
             validate_thresholds: None,
-            baseline: None,
         }
     }
 }
@@ -526,7 +515,6 @@ impl SweepRequest {
             lab_dir: o.lab_dir,
             verbose: o.verbose.unwrap_or(false),
             validate_thresholds: o.validate_thresholds,
-            baseline: o.baseline,
         })
     }
 
@@ -652,7 +640,6 @@ impl SweepRequest {
             lab_dir: self.lab_dir.clone(),
             verbose: Some(self.verbose),
             validate_thresholds: self.validate_thresholds,
-            baseline: self.baseline.clone(),
         };
         o.to_json()
     }
@@ -738,12 +725,15 @@ mod tests {
             let err = RequestOverlay::from_json(&doc).unwrap_err();
             assert!(err.contains("validate_thresholds"), "{bad}: {err}");
         }
-        // The trace cache is gone; documents that still set it fail the
-        // unknown-field check.
-        let cache = Json::parse(r#"{"trace_cache": "target/traces"}"#).unwrap();
-        assert!(RequestOverlay::from_json(&cache)
-            .unwrap_err()
-            .contains("trace_cache"));
+        // The trace cache and the hot-path bench baseline are gone;
+        // documents that still set them fail the unknown-field check.
+        for (doc, field) in [
+            (r#"{"trace_cache": "target/traces"}"#, "trace_cache"),
+            (r#"{"baseline": "prior-report.json"}"#, "baseline"),
+        ] {
+            let err = RequestOverlay::from_json(&Json::parse(doc).unwrap()).unwrap_err();
+            assert!(err.contains(field), "{doc}: {err}");
+        }
     }
 
     #[test]

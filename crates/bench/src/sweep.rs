@@ -1,19 +1,18 @@
 //! Parallel sweep executor.
 //!
 //! A [`SweepPlan`] is an explicit list of (workload, input set, system)
-//! cells. [`SweepPlan::run`] executes the cells on a scoped-thread worker
-//! pool against a shared [`Lab`], which memoizes traces, profiles and
-//! runs behind compute-once cells — so each trace is generated and
-//! profiled exactly once per process even when many cells (or many
-//! concurrent sweeps) need it.
+//! cells. [`SweepPlan::run_fault_tolerant`] executes the cells on a
+//! scoped-thread worker pool against a shared [`Lab`], which memoizes
+//! traces, profiles and runs behind compute-once cells — so each trace is
+//! generated and profiled exactly once per process even when many cells
+//! (or many concurrent sweeps) need it.
 //!
-//! Results come back as [`RunRecord`]s in **plan order** regardless of
-//! thread count, and all metric fields are identical at any `jobs` value
-//! (only `wall_ms` may differ); the determinism regression test in
-//! `crates/bench/tests` pins this down.
+//! Outcomes come back in **plan order** regardless of thread count, and
+//! all metric fields are identical at any `jobs` value (only `wall_ms`
+//! may differ); the determinism regression test in `crates/bench/tests`
+//! pins this down.
 //!
-//! [`SweepPlan::run_fault_tolerant`] adds failure isolation on top: each
-//! cell's simulation runs under `catch_unwind`, so a panicking or
+//! Each cell's simulation runs under `catch_unwind`, so a panicking or
 //! deadlocked cell yields a [`RunOutcome::Failed`] record while every
 //! other cell completes normally. Combined with a [`ManifestWriter`]
 //! (incremental, atomic manifest flushes) and a resume manifest (skip
@@ -206,51 +205,14 @@ impl SweepPlan {
     }
 
     /// Keeps only cells whose workload name or system label contains
-    /// `needle` (case-sensitive substring).
+    /// `needle`, ignoring case.
     pub fn filtered(mut self, needle: &str) -> Self {
-        self.cells
-            .retain(|c| c.workload.contains(needle) || c.system.contains_label(needle));
-        self
-    }
-
-    /// Executes every cell against `lab` on up to `jobs` worker threads
-    /// and returns one record per cell, in plan order.
-    ///
-    /// Cells are claimed from a shared atomic counter, so a slow cell
-    /// never stalls unrelated workers; duplicate cells hit the lab cache
-    /// and simulate only once.
-    ///
-    /// A failing cell panics the worker (and, through the thread scope,
-    /// the caller) — use [`SweepPlan::run_fault_tolerant`] when the
-    /// remaining cells should survive a failure.
-    pub fn run(&self, lab: &Lab, jobs: usize) -> Vec<RunRecord> {
-        let n = self.cells.len();
-        let workers = jobs.clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<std::sync::OnceLock<RunRecord>> = Vec::new();
-        slots.resize_with(n, std::sync::OnceLock::new);
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell = &self.cells[i];
-                    lab.run_on(&cell.workload, cell.input, cell.system);
-                    let record = lab
-                        .record_for(&cell.workload, cell.input, cell.system)
-                        .expect("run_on populated the cache");
-                    let _ = slots[i].set(record);
-                });
-            }
+        let needle = needle.to_lowercase();
+        self.cells.retain(|c| {
+            c.workload.to_lowercase().contains(&needle)
+                || c.system.label().to_lowercase().contains(&needle)
         });
-
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every claimed cell stored a record"))
-            .collect()
+        self
     }
 
     /// Executes every cell with per-cell failure isolation under the
@@ -501,17 +463,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Case-sensitive substring match helper on system labels.
-trait LabelContains {
-    fn contains_label(&self, needle: &str) -> bool;
-}
-
-impl LabelContains for SystemKind {
-    fn contains_label(&self, needle: &str) -> bool {
-        self.label().contains(needle)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -541,12 +492,20 @@ mod tests {
         let by_wl = plan.clone().filtered("mst");
         assert_eq!(by_wl.cells.len(), 2);
         assert!(by_wl.cells.iter().all(|c| c.workload == "mst"));
-        let by_sys = plan.filtered(SystemKind::StreamOnly.label());
+        let by_sys = plan.clone().filtered(SystemKind::StreamOnly.label());
         assert_eq!(by_sys.cells.len(), 2);
         assert!(by_sys
             .cells
             .iter()
             .all(|c| c.system == SystemKind::StreamOnly));
+        // run_all lower-cases --filter; a mixed-case workload still matches.
+        let mut mixed = plan;
+        mixed.push("ListChase", InputSet::Train, SystemKind::StreamOnly);
+        for needle in ["listchase", "ListChase", "LISTCHASE"] {
+            let by_case = mixed.clone().filtered(needle);
+            assert_eq!(by_case.cells.len(), 1, "{needle}");
+            assert_eq!(by_case.cells[0].workload, "ListChase");
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 
 use std::sync::Arc;
 
-use bench::{Lab, SweepPlan};
+use bench::{Lab, RunRecord, SweepOptions, SweepPlan};
 use ecdp::system::SystemKind;
 use workloads::InputSet;
+
+/// Runs every cell of `plan` on `jobs` workers; every cell must succeed.
+fn run(plan: &SweepPlan, lab: &Lab, jobs: usize) -> Vec<RunRecord> {
+    let exec = plan.run_fault_tolerant(lab, jobs, &SweepOptions::default());
+    assert_eq!(exec.failed(), 0, "{} had failed cells", plan.name);
+    exec.records()
+}
 
 fn smoke_plan(name: &str) -> SweepPlan {
     SweepPlan::cross(
@@ -27,8 +34,8 @@ fn smoke_plan(name: &str) -> SweepPlan {
 #[test]
 fn parallel_sweep_matches_serial_sweep() {
     // Fresh labs so the second run cannot reuse the first run's cache.
-    let serial = smoke_plan("det-serial").run(&Lab::new(), 1);
-    let parallel = smoke_plan("det-parallel").run(&Lab::new(), 4);
+    let serial = run(&smoke_plan("det-serial"), &Lab::new(), 1);
+    let parallel = run(&smoke_plan("det-parallel"), &Lab::new(), 4);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -43,7 +50,7 @@ fn parallel_sweep_matches_serial_sweep() {
 
     // Stronger: with wall time normalized, the serialized records are
     // byte-identical.
-    let normalize = |records: &[bench::RunRecord]| -> Vec<String> {
+    let normalize = |records: &[RunRecord]| -> Vec<String> {
         records
             .iter()
             .map(|r| {
@@ -59,7 +66,7 @@ fn parallel_sweep_matches_serial_sweep() {
 #[test]
 fn sweep_results_come_back_in_plan_order() {
     let plan = smoke_plan("det-order");
-    let records = plan.run(&Lab::new(), 3);
+    let records = run(&plan, &Lab::new(), 3);
     assert_eq!(records.len(), plan.cells.len());
     for (cell, record) in plan.cells.iter().zip(&records) {
         assert_eq!(record.workload, cell.workload);
@@ -75,7 +82,7 @@ fn duplicate_cells_share_one_simulation() {
         plan.push("libquantum", InputSet::Test, SystemKind::StreamOnly);
     }
     let lab = Lab::new();
-    let records = plan.run(&lab, 4);
+    let records = run(&plan, &lab, 4);
     assert_eq!(records.len(), 4);
     // All four cells are the same cached run: identical wall_ms proves a
     // single simulation was timed (same_metrics alone would also hold for

@@ -18,7 +18,8 @@
 use std::path::PathBuf;
 
 use bench::{
-    CheckpointConfig, FailureRecord, FaultPlan, Lab, Manifest, RunOutcome, RunRecord, SweepPlan,
+    CheckpointConfig, FailureRecord, FaultPlan, Lab, Manifest, RunOutcome, RunRecord, SweepOptions,
+    SweepPlan,
 };
 use ecdp::system::SystemKind;
 use workloads::InputSet;
@@ -43,6 +44,13 @@ fn golden_plan() -> SweepPlan {
     )
 }
 
+/// Runs the golden plan on two workers; every cell must succeed.
+fn run_golden(lab: &Lab) -> Vec<RunRecord> {
+    let exec = golden_plan().run_fault_tolerant(lab, 2, &SweepOptions::default());
+    assert_eq!(exec.failed(), 0, "golden sweep had failed cells");
+    exec.records()
+}
+
 fn close(a: f64, b: f64, what: &str, ctx: &str) {
     let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
     assert!(
@@ -53,7 +61,7 @@ fn close(a: f64, b: f64, what: &str, ctx: &str) {
 
 #[test]
 fn sweep_matches_golden_snapshot() {
-    let mut records = golden_plan().run(&Lab::new(), 2);
+    let mut records = run_golden(&Lab::new());
     // Zero the only nondeterministic field so an update writes a clean,
     // reviewable diff.
     for r in &mut records {
@@ -132,7 +140,7 @@ fn warm_forked_sweep_matches_golden_snapshot() {
 
     // Pass 1: populate the store.
     let create_lab = Lab::with_checkpoints(FaultPlan::none(), Some(cp.clone()));
-    golden_plan().run(&create_lab, 2);
+    run_golden(&create_lab);
     for r in create_lab.records() {
         assert_eq!(
             r.checkpoint.as_deref(),
@@ -145,7 +153,7 @@ fn warm_forked_sweep_matches_golden_snapshot() {
 
     // Pass 2: a fresh lab must fork every cell from disk.
     let fork_lab = Lab::with_checkpoints(FaultPlan::none(), Some(cp));
-    let mut records = golden_plan().run(&fork_lab, 2);
+    let mut records = run_golden(&fork_lab);
     for r in &mut records {
         r.wall_ms = 0.0;
         assert_eq!(
@@ -160,7 +168,7 @@ fn warm_forked_sweep_matches_golden_snapshot() {
     let golden_records: Vec<&RunRecord> = golden.successes().collect();
     assert_eq!(golden_records.len(), records.len());
     for (&g, r) in golden_records.iter().zip(&records) {
-        let ctx = format!("warm-fork {} {} {}", r.workload, r.input, r.system);
+        let ctx = format!("forked {} {} {}", r.workload, r.input, r.system);
         assert_eq!(g.config_hash, r.config_hash, "{ctx}: config hash");
         compare_stats(g, r, &ctx);
     }
@@ -221,7 +229,7 @@ fn mixed_manifest_roundtrips_through_golden_write_path() {
         Some("deadlock")
     );
     assert!(records[1].get("stats").is_none(), "failures carry no stats");
-    // Failed cells never satisfy the resume-skip criterion.
+    // Failed cells never satisfy the resume-skip rule.
     assert!(!parsed.has_success(
         &failed.workload,
         &failed.input,

@@ -175,7 +175,7 @@ fn quad_core_warm_fork_matches_golden_snapshot() {
     assert_eq!(
         stats_doc(&cold_stats).to_string_pretty(),
         stats_doc(&fork_stats).to_string_pretty(),
-        "warm-forked chip diverged from the capture-armed cold run"
+        "forked chip diverged from the capture-armed cold run"
     );
 
     // And both match the checked-in golden (capture was a pure read).
@@ -187,7 +187,7 @@ fn quad_core_warm_fork_matches_golden_snapshot() {
         )
     });
     let golden = Json::parse(&text).expect("multicore golden parses");
-    assert_json_close(&golden, &stats_doc(&fork_stats), "multicore-warm-fork");
+    assert_json_close(&golden, &stats_doc(&fork_stats), "multicore-forked");
 }
 
 /// Two back-to-back runs of the same mix must agree exactly — the

@@ -25,7 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bench::service::Job;
-use bench::{Manifest, ResultStore, RunRecord, SweepPlan, SweepRequest, SweepService};
+use bench::{
+    Manifest, ResultStore, RunRecord, SweepOptions, SweepPlan, SweepRequest, SweepService,
+};
 use ecdp::system::SystemKind;
 use sim_core::Json;
 use workloads::InputSet;
@@ -133,7 +135,9 @@ fn concurrent_clients_coalesce_overlap_and_match_solo_run() {
         InputSet::Test,
         &SYSTEMS,
     )
-    .run(&bench::Lab::new(), 2);
+    .run_fault_tolerant(&bench::Lab::new(), 2, &SweepOptions::default());
+    assert_eq!(solo.failed(), 0, "solo sweep had failed cells");
+    let solo = solo.records();
     let find = |r: &RunRecord| {
         solo.iter()
             .find(|s| s.workload == r.workload && s.system == r.system)
