@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]
 //!                                               [--workload-file FILE]...
 //!                                               [--jobs N] [--filter SUBSTR]
-//!                                               [--resume] [--sweep] [--validate]
+//!                                               [--sweep] [--validate]
 //!                                               [--trace-dir DIR] [--store PATH]
 //!                                               [output.md]]
 //! ```
@@ -25,10 +25,13 @@
 //!    deadlocked cell becomes a `Failed` manifest record while the other
 //!    cells complete — and every finished cell is flushed atomically to
 //!    `target/lab/run_all.json`, so a killed process leaves a valid
-//!    partial manifest. `--resume` skips cells the existing manifest
-//!    already records as successful under the same machine-config hash.
-//!    `--sweep` stops after this phase; combined with `--filter` it runs
-//!    only the matching cells, and a filter matching no cell exits 2.
+//!    partial manifest. With `--store PATH` every success is committed
+//!    to the result store, and a rerun on the same store serves the
+//!    committed cells (same machine-config hash and workload file
+//!    contents) and simulates only the rest — that is how a killed or
+//!    failed sweep restarts. `--sweep` stops after this phase; combined
+//!    with `--filter` it runs only the matching cells, and a filter
+//!    matching no cell exits 2.
 //!    `--trace-dir DIR` runs every cell with the observability layer
 //!    enabled and writes per-cell `timeseries.json` + `obs.jsonl` under
 //!    `DIR`; the manifest records the artifact paths.
@@ -181,7 +184,7 @@ fn main() {
     }
 
     // Phase 1 — fault-tolerant sweep over the shared grid, with
-    // incremental manifest flushes and optional resume. A filtered
+    // incremental manifest flushes and optional store hits. A filtered
     // report run skips it: the filter may need none of these cells.
     let trace_dir = args.trace_dir.as_ref().map(std::path::PathBuf::from);
     let mut sweep_outcomes: Vec<RunOutcome> = Vec::new();
@@ -200,15 +203,6 @@ fn main() {
                 fail_usage(&format!("no cells matched --filter {f}"));
             }
         }
-        let prior = if args.resume {
-            let m = Manifest::load(lab_dir, &plan.name);
-            if m.is_none() {
-                eprintln!("[run_all] --resume: no prior manifest, running everything");
-            }
-            m
-        } else {
-            None
-        };
         let writer = ManifestWriter::in_dir(lab_dir, plan.name.clone());
         eprintln!(
             "[run_all] sweeping {} cells on {jobs} workers ...",
@@ -219,7 +213,6 @@ fn main() {
             &lab,
             jobs,
             &SweepOptions {
-                resume_from: prior.as_ref(),
                 writer: Some(&writer),
                 trace_dir: trace_dir.as_deref(),
                 store: store.as_ref(),
@@ -227,9 +220,8 @@ fn main() {
             },
         );
         eprintln!(
-            "[run_all] sweep: {} ran, {} skipped (resume), {} failed in {:.1?}",
+            "[run_all] sweep: {} ran, {} failed in {:.1?}",
             exec.ran,
-            exec.skipped,
             exec.failed(),
             t.elapsed()
         );

@@ -180,7 +180,10 @@ fn handle(
             let Some(cfg) = parse_config_hash(hash) else {
                 return respond_error(stream, 400, "config hash must be 16 hex digits");
             };
-            match service.stored_cell(workload, input, system, cfg) {
+            match service
+                .store()
+                .and_then(|s| s.get(workload, input, system, cfg))
+            {
                 Some(record) => respond_json(stream, 200, &record.to_json()),
                 None => respond_error(stream, 404, "cell not in store"),
             }

@@ -7,7 +7,7 @@
 
 /// Usage line printed on `--help` and on every parse error.
 pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]... [--jobs N]
-               [--filter SUBSTR] [--resume] [--sweep] [--validate]
+               [--filter SUBSTR] [--sweep] [--validate]
                [--trace-dir DIR] [--store PATH] [output.md]
 
   --config FILE   load a SweepRequest JSON document (the same schema sweepd
@@ -24,11 +24,11 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
   --filter SUBSTR only generate report sections whose name contains SUBSTR;
                   with --sweep, keep only sweep cells whose workload or
                   system contains SUBSTR (case-insensitive)
-  --resume        skip sweep cells already recorded as successful in the
-                  existing run_all manifest (same machine-config hash)
   --store PATH    persistent result store: serve sweep cells committed under
-                  the same machine-config hash without re-simulation, append
-                  fresh results, and write PATH.report.json with the
+                  the same machine-config hash and workload file contents
+                  without re-simulation, append fresh results (a killed or
+                  failed sweep rerun on the same store simulates only the
+                  missing cells), and write PATH.report.json with the
                   recovery/heal status (default: the file's store.path;
                   the file's retry and store.compact fields set the retry
                   policy and compact the log after the sweep)
@@ -51,8 +51,6 @@ pub struct RunAllArgs {
     pub jobs: Option<usize>,
     /// Lower-cased section filter.
     pub filter: Option<String>,
-    /// Skip sweep cells with a prior successful record.
-    pub resume: bool,
     /// Run only the sweep phase.
     pub sweep_only: bool,
     /// Run the paper-conformance suite instead of the report.
@@ -120,7 +118,6 @@ where
                 }
                 parsed.filter = Some(v.to_lowercase());
             }
-            "--resume" => parsed.resume = true,
             "--sweep" => parsed.sweep_only = true,
             "--validate" => parsed.validate = true,
             "--trace-dir" => {
@@ -170,7 +167,6 @@ mod tests {
             "4",
             "--filter",
             "Figure",
-            "--resume",
             "--sweep",
             "--trace-dir",
             "target/traces",
@@ -181,7 +177,6 @@ mod tests {
             Ok(Parsed::Run(RunAllArgs {
                 jobs: Some(4),
                 filter: Some("figure".to_string()),
-                resume: true,
                 sweep_only: true,
                 trace_dir: Some("target/traces".to_string()),
                 out_path: Some("out.md".to_string()),
@@ -232,12 +227,12 @@ mod tests {
 
     #[test]
     fn parses_store_flag() {
-        let p = parse(&["--store", "target/results.store", "--resume"]);
+        let p = parse(&["--store", "target/results.store", "--sweep"]);
         assert_eq!(
             p,
             Ok(Parsed::Run(RunAllArgs {
                 store: Some("target/results.store".to_string()),
-                resume: true,
+                sweep_only: true,
                 ..RunAllArgs::default()
             }))
         );
@@ -252,10 +247,12 @@ mod tests {
         assert!(parse(&["--trace-dir"]).is_err(), "missing value");
         assert!(parse(&["--trace-dir", ""]).is_err(), "empty value");
         assert!(parse(&["--jbos", "4"]).is_err(), "unknown flag");
-        assert!(parse(&["--resume=now"]).is_err(), "unknown flag form");
-        // The hot-path bench mode and its modifiers are gone.
-        for flag in ["--bench", "--no-skip", "--warm-fork"] {
-            assert_eq!(parse(&[flag]), Err(format!("unknown flag {flag:?}")));
+        assert!(parse(&["--sweep=now"]).is_err(), "unknown flag form");
+        // The hot-path bench mode, its modifiers and manifest resume are
+        // gone (a rerun on the same --store replaces resume).
+        for name in ["bench", "no-skip", "warm-fork", "resume"] {
+            let flag = format!("--{name}");
+            assert_eq!(parse(&[&flag]), Err(format!("unknown flag {flag:?}")));
         }
     }
 

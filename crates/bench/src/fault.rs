@@ -37,6 +37,8 @@ use sim_core::{Machine, MachineConfig, OpKind, SimError, Trace, TraceOp};
 use sim_mem::{layout, SimMemory};
 use workloads::InputSet;
 
+use crate::manifest::input_label;
+
 /// The failure to inject into a matched cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -243,7 +245,7 @@ impl FaultPlan {
         system: SystemKind,
         attempt: u32,
     ) -> Option<FaultAction> {
-        let input = format!("{input:?}").to_lowercase();
+        let input = input_label(input);
         self.rules
             .iter()
             .filter(|r| r.max_attempts.is_none_or(|cap| attempt <= cap))
@@ -267,7 +269,7 @@ impl FaultPlan {
         system: SystemKind,
         attempt: u32,
     ) -> Option<FaultAction> {
-        let input = format!("{input:?}").to_lowercase();
+        let input = input_label(input);
         self.rules
             .iter()
             .filter(|r| r.max_attempts.is_none_or(|cap| attempt <= cap))

@@ -27,7 +27,9 @@ use sim_core::{DiagnosticSnapshot, ObsConfig, RunStats, RunTrace, SimError, Snap
 use workloads::{registry, InputSet, StreamSource};
 
 use crate::fault::{FaultAction, FaultPlan};
-use crate::manifest::{Manifest, RunOutcome, RunRecord};
+use crate::manifest::{
+    config_hash, input_label, workload_provenance, Manifest, RunOutcome, RunRecord,
+};
 
 /// Locks a mutex, recovering from poisoning.
 ///
@@ -117,7 +119,8 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
 /// `bench::difftest`), so the store is purely a wall-clock optimization.
 ///
 /// Checkpoints are keyed by workload, input, system, machine-config
-/// hash and warm-cycle count. A corrupt, truncated or stale file is
+/// hash and warm-cycle count, plus the provenance hash for workloads
+/// loaded from a file. A corrupt, truncated or stale file is
 /// *never* fatal: the lab falls back to a cold run for that cell,
 /// rewrites the checkpoint, and records the disposition in the cell's
 /// manifest record (`checkpoint: "fallback:<reason>"`).
@@ -147,13 +150,19 @@ impl CheckpointConfig {
     /// The checkpoint file for one sweep cell. The machine-config hash
     /// and warm-cycle count are part of the key, so a config change or
     /// a different capture point misses cleanly instead of loading a
-    /// mismatched snapshot.
+    /// mismatched snapshot. A workload loaded from a file also keys on
+    /// its provenance hash, so an edited spec or regenerated trace never
+    /// forks from the old file's warm state; built-in names carry no
+    /// hash, so their existing checkpoints still load.
     pub fn cell_path(&self, name: &str, input: InputSet, kind: SystemKind) -> PathBuf {
+        let provenance = workload_provenance(name)
+            .map(|h| format!("-{h}"))
+            .unwrap_or_default();
         self.dir.join(format!(
-            "{name}-{}-{}-{:016x}-{}.snap",
-            format!("{input:?}").to_lowercase(),
+            "{name}-{}-{}-{:016x}-{}{provenance}.snap",
+            input_label(input),
             kind.label(),
-            crate::manifest::config_hash(),
+            config_hash(),
             self.warm_cycles
         ))
     }
@@ -240,12 +249,12 @@ type RunEntry = (RunStats, f64, Option<String>);
 /// What a sweep cell replays: a resident in-memory trace (built-in and
 /// DSL workloads) or an external trace streamed from disk in bounded
 /// windows (registered `.xtrc` files).
-enum CellInput<'a> {
-    Resident(&'a Trace),
-    Streamed(&'a StreamSource),
+enum CellInput {
+    Resident(Arc<Trace>),
+    Streamed(Arc<StreamSource>),
 }
 
-impl CellInput<'_> {
+impl CellInput {
     /// Runs a built system on this input. Streamed sources re-open (and
     /// re-validate against the registered content hash) per run, so each
     /// run has its own file cursor and the statistics stay bit-identical
@@ -392,6 +401,23 @@ impl Lab {
         })
     }
 
+    /// The compiler artifacts and input a cell of `name` runs on.
+    /// Streamed workloads have no train input to profile (an external
+    /// trace is addresses, not a program), so they run with empty
+    /// artifacts and skip the resident-trace cache.
+    fn cell_input(&self, name: &str, input: InputSet) -> (Arc<CompilerArtifacts>, CellInput) {
+        match registry::lookup(name) {
+            Some(workloads::WorkloadHandle::Streamed(src)) => (
+                Arc::new(CompilerArtifacts::empty()),
+                CellInput::Streamed(src),
+            ),
+            _ => (
+                self.artifacts(name),
+                CellInput::Resident(self.trace(name, input)),
+            ),
+        }
+    }
+
     /// Runs (or returns the cached run of) `name`'s `input` trace on
     /// `kind`, using artifacts profiled from the train input.
     ///
@@ -483,14 +509,7 @@ impl Lab {
                 // The cell was already simulated untraced: rerun outside
                 // the stats cache to collect the trace, once.
                 self.shared.traces_obs.get_or_init(&key, || {
-                    let streamed = match registry::lookup(name) {
-                        Some(workloads::WorkloadHandle::Streamed(src)) => Some(src),
-                        _ => None,
-                    };
-                    let (art, resident) = match &streamed {
-                        Some(_) => (Arc::new(CompilerArtifacts::empty()), None),
-                        None => (self.artifacts(name), Some(self.trace(name, input))),
-                    };
+                    let (art, cell_input) = self.cell_input(name, input);
                     if self.shared.verbose {
                         eprintln!(
                             "[lab] re-running {name} {input:?} on {} for its trace",
@@ -498,13 +517,7 @@ impl Lab {
                         );
                     }
                     let builder = SystemBuilder::new(kind).artifacts(&art).observe(obs);
-                    let run = match (&streamed, &resident) {
-                        (Some(src), _) => CellInput::Streamed(src.as_ref()).run(builder),
-                        (None, Some(t)) => CellInput::Resident(t).run(builder),
-                        (None, None) => {
-                            unreachable!("non-streamed cell always has a resident trace")
-                        }
-                    };
+                    let run = cell_input.run(builder);
                     Arc::new(run.ok().and_then(|r| r.trace).unwrap_or_default())
                 })
             }),
@@ -539,22 +552,7 @@ impl Lab {
                 // the result store's write layer, not the compute path.
                 Some(_) | None => {}
             }
-            // Streamed workloads have no train input to profile (an
-            // external trace is addresses, not a program), so they run
-            // with empty artifacts and skip the resident-trace cache.
-            let streamed = match registry::lookup(name) {
-                Some(workloads::WorkloadHandle::Streamed(src)) => Some(src),
-                _ => None,
-            };
-            let (art, resident) = match &streamed {
-                Some(_) => (Arc::new(CompilerArtifacts::empty()), None),
-                None => (self.artifacts(name), Some(self.trace(name, input))),
-            };
-            let cell_input = match (&streamed, &resident) {
-                (Some(src), _) => CellInput::Streamed(src.as_ref()),
-                (None, Some(t)) => CellInput::Resident(t),
-                (None, None) => unreachable!("non-streamed cell always has a resident trace"),
-            };
+            let (art, cell_input) = self.cell_input(name, input);
             if self.shared.verbose {
                 eprintln!("[lab] running {name} {input:?} on {}", kind.label());
             }
@@ -587,7 +585,7 @@ impl Lab {
         input: InputSet,
         kind: SystemKind,
         art: &CompilerArtifacts,
-        t: &CellInput<'_>,
+        t: &CellInput,
         obs: Option<ObsConfig>,
         fault: Option<FaultAction>,
         deadline: Option<std::time::Duration>,

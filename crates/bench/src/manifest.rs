@@ -37,10 +37,12 @@
 //! [`Manifest::write`] is atomic (temp file + rename in the output
 //! directory), and [`ManifestWriter`] re-writes the manifest after every
 //! completed cell — a killed sweep leaves a valid manifest of everything
-//! that finished, which `run_all --resume` uses to skip completed cells.
+//! that finished. The manifest is a report, not a restart source: a
+//! later run skips a cell only when the [`crate::store::ResultStore`]
+//! has it committed.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use ecdp::system::SystemKind;
 use sim_core::{Json, MachineConfig, RunStats, StatsSummary};
@@ -50,15 +52,26 @@ use workloads::InputSet;
 /// [`RunRecord`] so stale manifests are detectable after config changes.
 ///
 /// FNV-1a over the `Debug` rendering of [`MachineConfig::default`]: not
-/// cryptographic, but any field change changes the hash.
+/// cryptographic, but any field change changes the hash. Computed once
+/// per process; every store lookup keys on it.
 pub fn config_hash() -> u64 {
-    let rendered = format!("{:?}", MachineConfig::default());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    static HASH: OnceLock<u64> = OnceLock::new();
+    *HASH.get_or_init(|| {
+        let rendered = format!("{:?}", MachineConfig::default());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in rendered.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    })
+}
+
+/// The lower-cased input label (`"train"` / `"ref"` / `"test"`) that
+/// manifests, store keys, checkpoint files and fault rules name a cell's
+/// input set by.
+pub fn input_label(input: InputSet) -> String {
+    format!("{input:?}").to_lowercase()
 }
 
 /// The registry's provenance hash for `workload` as a 16-digit hex
@@ -68,8 +81,8 @@ pub fn config_hash() -> u64 {
 ///
 /// Recorded in every [`RunRecord`] so a result computed from one
 /// version of a user-supplied file is never mistaken for the same cell
-/// after the file changed — resume skips and result-store hits both
-/// require the recorded hash to match the current registry state.
+/// after the file changed — a result-store hit requires the recorded
+/// hash to match the current registry state.
 pub fn workload_provenance(workload: &str) -> Option<String> {
     workloads::registry::lookup(workload)
         .and_then(|h| h.provenance_hash())
@@ -178,7 +191,7 @@ impl RunRecord {
     ) -> Self {
         RunRecord {
             workload: workload.to_string(),
-            input: format!("{input:?}").to_lowercase(),
+            input: input_label(input),
             system: kind.label().to_string(),
             config_hash: config_hash(),
             workload_hash: workload_provenance(workload),
@@ -324,7 +337,7 @@ impl FailureRecord {
     ) -> Self {
         FailureRecord {
             workload: workload.to_string(),
-            input: format!("{input:?}").to_lowercase(),
+            input: input_label(input),
             system: kind.label().to_string(),
             config_hash: config_hash(),
             error_kind: error_kind.to_string(),
@@ -484,17 +497,6 @@ impl Manifest {
         self.records.iter().filter_map(RunOutcome::failure)
     }
 
-    /// True if a *successful* record for this exact cell (including the
-    /// machine-config hash) exists — the resume-skip rule.
-    pub fn has_success(&self, workload: &str, input: &str, system: &str, config: u64) -> bool {
-        self.successes().any(|r| {
-            r.workload == workload
-                && r.input == input
-                && r.system == system
-                && r.config_hash == config
-        })
-    }
-
     /// JSON form of the whole manifest.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -537,12 +539,6 @@ impl Manifest {
     /// The directory manifests go to unless a request sets `lab_dir`,
     /// relative to the current directory.
     pub const DEFAULT_DIR: &'static str = "target/lab";
-
-    /// Loads and parses `<dir>/<name>.json`, if present and valid.
-    pub fn load(dir: &Path, name: &str) -> Option<Self> {
-        let text = std::fs::read_to_string(dir.join(format!("{name}.json"))).ok()?;
-        Manifest::parse(&text).ok()
-    }
 
     /// Atomically writes the manifest to `<dir>/<name>.json` and returns
     /// the path.
@@ -708,13 +704,6 @@ mod tests {
         assert_eq!(m, parsed);
         assert_eq!(parsed.successes().count(), 1);
         assert_eq!(parsed.failures().count(), 1);
-        let r = sample_record(0.0);
-        assert!(parsed.has_success(&r.workload, &r.input, &r.system, r.config_hash));
-        let f = sample_failure();
-        assert!(
-            !parsed.has_success(&f.workload, &f.input, &f.system, f.config_hash),
-            "failed cells must not satisfy the resume-skip rule"
-        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ use sim_core::{Json, ThrottleThresholds};
 use workloads::{registry, InputSet};
 
 use crate::lab::CheckpointConfig;
+use crate::manifest::input_label;
 use crate::sweep::{RetryPolicy, SweepPlan};
 
 /// Version of the request document format (`--config` files and POSTed
@@ -304,7 +305,7 @@ impl RequestOverlay {
             ));
         }
         if let Some(i) = self.input {
-            pairs.push(("input", Json::Str(format!("{i:?}").to_lowercase())));
+            pairs.push(("input", Json::Str(input_label(i))));
         }
         if let Some(s) = &self.systems {
             pairs.push((

@@ -12,9 +12,10 @@
 //!
 //! Every cell resolves through three layers, cheapest first:
 //!
-//! 1. **Store hit** — a cell already committed to the [`ResultStore`]
-//!    under the same machine-config hash is answered immediately
-//!    (disposition `hit`), across server restarts.
+//! 1. **Store hit** — a cell [`ResultStore::committed`] serves (same
+//!    machine-config hash and workload provenance) is answered
+//!    immediately (disposition `hit`), across server restarts. This is
+//!    the same lookup `run_all --store` makes.
 //! 2. **In-flight coalescing** — a cell another job is already running
 //!    or has queued joins that cell's task as a subscriber
 //!    (disposition `coalesced`); when the task completes, every
@@ -402,31 +403,16 @@ impl SweepService {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .insert(id, Arc::clone(&job));
 
-        let cfg = config_hash();
         let retry = job.request.retry;
         for (index, cell) in job.cells.clone().into_iter().enumerate() {
             // Layer 1: the persistent store answers immediately.
-            let stored = self.shared.store.as_ref().and_then(|s| {
-                s.get(
-                    &cell.workload,
-                    &cell.input_label(),
-                    cell.system.label(),
-                    cfg,
-                )
-            });
-            if let Some(mut record) = stored {
-                record.store = Some("hit".to_string());
+            if let Some(record) = self.shared.store.as_ref().and_then(|s| s.committed(&cell)) {
                 job.record_disposition(Disposition::Hit);
                 job.deliver(index, RunOutcome::Success(record));
                 continue;
             }
             // Layers 2/3: join the in-flight task or queue fresh work.
-            let key = CellKey {
-                workload: cell.workload.clone(),
-                input: cell.input_label(),
-                system: cell.system.label().to_string(),
-                config_hash: cfg,
-            };
+            let key = CellKey::for_cell(&cell);
             let (task, fresh) = {
                 let mut inflight = lock_recover(&self.shared.inflight);
                 match inflight.get(&key) {
@@ -463,20 +449,6 @@ impl SweepService {
     /// The job with this id, if it exists.
     pub fn job(&self, id: u64) -> Option<Arc<Job>> {
         lock_recover(&self.shared.jobs).get(&id).cloned()
-    }
-
-    /// The committed record for one cell, straight from the store.
-    pub fn stored_cell(
-        &self,
-        workload: &str,
-        input: &str,
-        system: &str,
-        config_hash: u64,
-    ) -> Option<crate::manifest::RunRecord> {
-        self.shared
-            .store
-            .as_ref()?
-            .get(workload, input, system, config_hash)
     }
 
     /// Unique cells actually simulated by this service (store hits and

@@ -1,13 +1,19 @@
 //! Persistent, content-addressed result store for sweep cells.
 //!
 //! A [`ResultStore`] is an append-only record log holding one
-//! [`RunRecord`] per committed sweep cell, keyed by the same
-//! (workload, input, system, machine-config-hash) tuple `--resume` uses.
-//! Where the resume manifest is a *whole-file* atomic snapshot rewritten
-//! after every cell, the store is a durable log that survives crashes at
-//! record granularity and is shared across runs: a cell that ever
-//! committed under the current machine config is served from the store
-//! without re-simulation, byte-identical stats included.
+//! [`RunRecord`] per committed sweep cell, keyed by (workload, input,
+//! system, machine-config hash). It is the only way one process reuses
+//! another's results: the log survives crashes at record granularity
+//! and is shared across runs, so a sweep restarted on the same store
+//! (`run_all --store`, `sweepd --store`) skips every committed cell.
+//!
+//! [`ResultStore::committed`] is the one reuse rule. A cell is served
+//! only when a record exists under the current machine-config hash *and*
+//! its `workload_hash` matches the registry's current
+//! [`workload_provenance`] — a record computed from an older version of
+//! a `.wl` spec or trace file is a miss, not a hit. A served record is
+//! byte-identical to the committed one apart from its `store: "hit"`
+//! disposition.
 //!
 //! # Wire format
 //!
@@ -70,7 +76,8 @@ use sim_core::snapshot::crc32;
 use sim_core::Json;
 
 use crate::fault::FaultAction;
-use crate::manifest::RunRecord;
+use crate::manifest::{config_hash, workload_provenance, RunRecord};
+use crate::sweep::SweepCell;
 
 /// Leading magic of every store file.
 pub const STORE_MAGIC: [u8; 8] = *b"ECDPRSLT";
@@ -95,7 +102,8 @@ const HEADER_LEN: usize = 16;
 /// Bytes of record framing before the payload.
 const FRAME_LEN: usize = 12;
 
-/// Identity of one committed result: the resume key.
+/// Identity of one committed result. It leaves out workload provenance,
+/// which [`ResultStore::committed`] checks on the stored record instead.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
     /// Workload name.
@@ -116,6 +124,17 @@ impl CellKey {
             input: r.input.clone(),
             system: r.system.clone(),
             config_hash: r.config_hash,
+        }
+    }
+
+    /// The key a sweep cell commits under in this build (the current
+    /// machine-config hash).
+    pub fn for_cell(cell: &SweepCell) -> Self {
+        CellKey {
+            workload: cell.workload.clone(),
+            input: cell.input_label(),
+            system: cell.system.label().to_string(),
+            config_hash: config_hash(),
         }
     }
 }
@@ -516,6 +535,19 @@ impl ResultStore {
         self.lock().entries.get(&key).cloned()
     }
 
+    /// The committed result a sweep may reuse for `cell`, marked
+    /// `store: "hit"`: a record under the current machine-config hash
+    /// whose workload provenance matches the registry's current one.
+    /// `None` means the cell must be simulated.
+    pub fn committed(&self, cell: &SweepCell) -> Option<RunRecord> {
+        let mut record = self.lock().entries.get(&CellKey::for_cell(cell)).cloned()?;
+        if record.workload_hash != workload_provenance(&cell.workload) {
+            return None;
+        }
+        record.store = Some("hit".to_string());
+        Some(record)
+    }
+
     /// Commits one result: memory first (so degradation never loses the
     /// run), then a framed append to the log, with `fault` routed
     /// through the write path (see the module docs).
@@ -746,7 +778,7 @@ mod tests {
                 workload,
                 "test",
                 SystemKind::StreamOnly.label(),
-                crate::manifest::config_hash(),
+                config_hash(),
             )
             .unwrap()
         }
@@ -789,7 +821,7 @@ mod tests {
             [RecoveryEvent::TailTruncated { .. }]
         ));
         assert!(store
-            .get("health", "test", "stream", crate::manifest::config_hash())
+            .get("health", "test", "stream", config_hash())
             .is_none());
         drop(store);
         // The heal rewrote a clean log.
@@ -817,9 +849,7 @@ mod tests {
         assert_eq!(rec.quarantined(), 1);
         assert!(rec.healed);
         assert_eq!(store.record_for_test("health").wall_ms, 2.0);
-        assert!(store
-            .get("mst", "test", "stream", crate::manifest::config_hash())
-            .is_none());
+        assert!(store.get("mst", "test", "stream", config_hash()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,10 +14,10 @@
 //!
 //! Each cell's simulation runs under `catch_unwind`, so a panicking or
 //! deadlocked cell yields a [`RunOutcome::Failed`] record while every
-//! other cell completes normally. Combined with a [`ManifestWriter`]
-//! (incremental, atomic manifest flushes) and a resume manifest (skip
-//! cells that already succeeded under the same machine config), this is
-//! what makes long sweeps crash-safe and restartable.
+//! other cell completes normally. A [`ManifestWriter`] makes the report
+//! crash-safe (incremental, atomic manifest flushes); a [`ResultStore`]
+//! makes the sweep restartable: a rerun on the same store serves every
+//! cell [`ResultStore::committed`] allows and simulates only the rest.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -30,8 +30,7 @@ use workloads::InputSet;
 
 use crate::lab::Lab;
 use crate::manifest::{
-    config_hash, workload_provenance, FailureRecord, Manifest, ManifestWriter, RetryInfo,
-    RunOutcome, RunRecord,
+    config_hash, input_label, FailureRecord, ManifestWriter, RetryInfo, RunOutcome, RunRecord,
 };
 use crate::store::{AppendDisposition, ResultStore};
 
@@ -47,9 +46,10 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// The lower-cased input label used in manifests.
+    /// The lower-cased input label used in manifests (see
+    /// [`input_label`]).
     pub fn input_label(&self) -> String {
-        format!("{:?}", self.input).to_lowercase()
+        input_label(self.input)
     }
 }
 
@@ -100,10 +100,6 @@ impl RetryPolicy {
 /// Execution options for [`SweepPlan::run_fault_tolerant`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepOptions<'a> {
-    /// Skip cells that already have a *successful* record (same
-    /// workload, input, system and machine-config hash) in this
-    /// manifest; the prior record is carried into the results.
-    pub resume_from: Option<&'a Manifest>,
     /// Flush every completed cell to this writer as it finishes, so a
     /// killed process leaves a valid partial manifest behind.
     pub writer: Option<&'a ManifestWriter>,
@@ -112,10 +108,11 @@ pub struct SweepOptions<'a> {
     /// obs.jsonl}`; the success records carry the artifact paths.
     pub trace_dir: Option<&'a Path>,
     /// Serve cells from (and commit fresh results to) this persistent
-    /// result store. A store hit skips the simulation entirely and the
-    /// record carries `store: "hit"`; fresh results are appended with
-    /// the cell's injected store fault, if any, routed through the
-    /// write layer.
+    /// result store — the only way a sweep reuses another run's
+    /// results. A hit ([`ResultStore::committed`]) skips the simulation
+    /// entirely and the record carries `store: "hit"`; fresh results are
+    /// appended with the cell's injected store fault, if any, routed
+    /// through the write layer.
     pub store: Option<&'a ResultStore>,
     /// Retry/deadline policy for the cell supervisor.
     pub retry: RetryPolicy,
@@ -124,13 +121,11 @@ pub struct SweepOptions<'a> {
 /// What [`SweepPlan::run_fault_tolerant`] did.
 #[derive(Debug, Clone)]
 pub struct SweepExecution {
-    /// One outcome per plan cell, in plan order. Resume-skipped cells
-    /// carry their prior success record.
+    /// One outcome per plan cell, in plan order. Store-served cells
+    /// carry their committed record.
     pub outcomes: Vec<RunOutcome>,
     /// Cells actually simulated in this execution.
     pub ran: usize,
-    /// Cells skipped because the resume manifest already had them.
-    pub skipped: usize,
     /// Cells served from the persistent result store.
     pub store_hits: usize,
 }
@@ -226,7 +221,7 @@ impl SweepPlan {
     /// lands in the record's `retry` field. With a [`ResultStore`]
     /// configured, committed cells are served from the store without
     /// re-simulation and fresh results are appended to it. See
-    /// [`SweepOptions`] for resume and incremental-flush behavior.
+    /// [`SweepOptions`] for store and incremental-flush behavior.
     pub fn run_fault_tolerant(
         &self,
         lab: &Lab,
@@ -235,34 +230,6 @@ impl SweepPlan {
     ) -> SweepExecution {
         let n = self.cells.len();
         let workers = jobs.clamp(1, n.max(1));
-        let cfg = config_hash();
-
-        // Resolve resume skips up front so `skipped` is exact even if
-        // the process dies mid-sweep. A prior record only counts when
-        // its workload provenance matches the current registry state:
-        // an edited `.wl` spec or regenerated trace file must
-        // re-simulate, not inherit the stale result.
-        let prior: Vec<Option<RunRecord>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                opts.resume_from.and_then(|m| {
-                    let input = c.input_label();
-                    let provenance = workload_provenance(&c.workload);
-                    m.successes()
-                        .find(|r| {
-                            r.workload == c.workload
-                                && r.input == input
-                                && r.system == c.system.label()
-                                && r.config_hash == cfg
-                                && r.workload_hash == provenance
-                        })
-                        .cloned()
-                })
-            })
-            .collect();
-        let skipped = prior.iter().filter(|p| p.is_some()).count();
-
         let next = AtomicUsize::new(0);
         let store_hits = AtomicUsize::new(0);
         let mut slots: Vec<std::sync::OnceLock<RunOutcome>> = Vec::new();
@@ -276,31 +243,12 @@ impl SweepPlan {
                         break;
                     }
                     let cell = &self.cells[i];
-                    let stored = || {
-                        let mut record = opts.store?.get(
-                            &cell.workload,
-                            &cell.input_label(),
-                            cell.system.label(),
-                            cfg,
-                        )?;
-                        // Same provenance rule as resume: a committed
-                        // result for an older version of the workload
-                        // file is a miss, not a hit.
-                        if record.workload_hash != workload_provenance(&cell.workload) {
-                            return None;
+                    let outcome = match opts.store.and_then(|s| s.committed(cell)) {
+                        Some(record) => {
+                            store_hits.fetch_add(1, Ordering::Relaxed);
+                            RunOutcome::Success(record)
                         }
-                        record.store = Some("hit".to_string());
-                        Some(record)
-                    };
-                    let outcome = match &prior[i] {
-                        Some(record) => RunOutcome::Success(record.clone()),
-                        None => match stored() {
-                            Some(record) => {
-                                store_hits.fetch_add(1, Ordering::Relaxed);
-                                RunOutcome::Success(record)
-                            }
-                            None => supervise_cell(lab, cell, opts),
-                        },
+                        None => supervise_cell(lab, cell, opts),
                     };
                     if let Some(w) = opts.writer {
                         if let Err(e) = w.append(i, outcome.clone()) {
@@ -321,8 +269,7 @@ impl SweepPlan {
                         .expect("every claimed cell stored an outcome")
                 })
                 .collect(),
-            ran: n - skipped - store_hits,
-            skipped,
+            ran: n - store_hits,
             store_hits,
         }
     }

@@ -1,6 +1,6 @@
 //! Chaos fault campaign: I/O faults through the result store's write
 //! layer, the cell supervisor's retry/deadline semantics, and a
-//! kill-resume harness that SIGKILLs the real `run_all` binary
+//! kill-and-restart harness that SIGKILLs the real `run_all` binary
 //! mid-sweep.
 //!
 //! Acceptance properties (mirroring the store's design contract):
@@ -12,10 +12,10 @@
 //! * a transient (deadline-overrun) cell retries with deterministic
 //!   backoff and lands as a success carrying its attempt history;
 //!   permanent failures fail fast without retries;
-//! * a `run_all` process killed at randomized points mid-sweep resumes
-//!   to a manifest byte-identical (modulo wall-clock) to an
-//!   uninterrupted run, with every cell committed to the store exactly
-//!   once.
+//! * a `run_all` process killed at randomized points mid-sweep and
+//!   rerun on the same `--store` finishes with a manifest byte-identical
+//!   (modulo wall-clock) to an uninterrupted run, with every cell
+//!   committed to the store exactly once.
 
 #![allow(clippy::unwrap_used)]
 
@@ -310,10 +310,11 @@ fn exhausted_and_permanent_failures_record_their_attempts() {
     );
 }
 
-/// Kill-resume harness against the real binary: SIGKILL `run_all`
-/// mid-sweep at seeded random points, then let a final run heal. The
-/// resumed manifest must match an uninterrupted run cell-for-cell with
-/// byte-identical stats, and the store must hold each cell exactly once.
+/// Kill-and-restart harness against the real binary: SIGKILL `run_all`
+/// mid-sweep at seeded random points, then let a final run on the same
+/// store heal. Its manifest must match an uninterrupted run
+/// cell-for-cell with byte-identical stats, and the store must hold
+/// each cell exactly once.
 #[test]
 fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
     let golden_dir = scratch("kill-golden");
@@ -359,12 +360,12 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
 
     // Kill pass: a wildcard slowdown stretches every cell's wall time
     // (without touching its simulated stats) so seeded kill points land
-    // mid-sweep. Each round resumes from whatever the previous kill
-    // left behind — a partial manifest and a possibly torn store log.
+    // mid-sweep. Each round restarts from whatever the previous kill
+    // left behind in the store — committed cells and possibly a torn
+    // tail.
     let mut rng = StdRng::seed_from_u64(0xC4A05);
     for round in 0..3 {
         let mut child = base_cmd(&chaos_dir, Some("slow@*=150"), false)
-            .arg("--resume")
             .arg("--store")
             .arg(&store_path)
             .stdout(Stdio::null())
@@ -379,10 +380,9 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
         eprintln!("[chaos] round {round}: killed after {delay} ms");
     }
 
-    // Final run: no kill. It must recover the store, resume the
-    // manifest, and finish every remaining cell.
+    // Final run: no kill. It must recover the store, serve the
+    // committed cells, and finish every remaining cell.
     let out = base_cmd(&chaos_dir, Some("slow@*=150"), false)
-        .arg("--resume")
         .arg("--store")
         .arg(&store_path)
         .output()
@@ -426,10 +426,7 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("result store served 9 cell(s)"), "{stderr}");
     assert!(stderr.contains("store compacted"), "{stderr}");
-    assert!(
-        stderr.contains("0 ran, 0 skipped (resume), 0 failed"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("0 ran, 0 failed"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&chaos_dir);

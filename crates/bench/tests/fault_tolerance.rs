@@ -1,5 +1,5 @@
 //! Fault-tolerance regression tests: panic isolation in the sweep
-//! executor, resume from a partial manifest, and the end-to-end behavior
+//! executor, restart from the result store, and the end-to-end behavior
 //! of the real `run_all` binary under injected faults.
 //!
 //! The injected failures come from [`bench::FaultPlan`]: a panic in one
@@ -7,7 +7,7 @@
 //! through the real watchdog) in another. The acceptance property is
 //! that a sweep with both injected still completes every other cell,
 //! records two `Failed` manifest entries, exits nonzero — and that a
-//! `--resume` rerun re-simulates only the two failed cells.
+//! rerun on the same `--store` re-simulates only the two failed cells.
 
 #![allow(clippy::unwrap_used)]
 
@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bench::{
-    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, RequestOverlay, RunOutcome,
-    SweepOptions, SweepPlan,
+    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, RequestOverlay, ResultStore,
+    RunOutcome, SweepOptions, SweepPlan,
 };
 use ecdp::system::SystemKind;
 use workloads::InputSet;
@@ -48,7 +48,7 @@ fn sweep_isolates_injected_panic_and_livelock() {
 
     assert_eq!(exec.outcomes.len(), 9, "one outcome per cell");
     assert_eq!(exec.ran, 9);
-    assert_eq!(exec.skipped, 0);
+    assert_eq!(exec.store_hits, 0);
     assert_eq!(exec.failed(), 2, "exactly the two injected cells fail");
 
     let failure = |workload: &str, system: &str| {
@@ -93,33 +93,44 @@ fn sweep_isolates_injected_panic_and_livelock() {
     assert_eq!(parsed, manifest);
 }
 
+/// Restart is a store hit: a rerun on the same result store serves the
+/// prior successes and simulates only the cells that failed.
 #[test]
 fn resume_skips_previously_successful_cells() {
+    let dir = std::env::temp_dir().join(format!("bench-fault-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_path = dir.join("results.store");
+
     // First pass: two injected failures.
     let first = {
         let lab = Lab::with_faults(faults());
-        plan().run_fault_tolerant(&lab, 4, &SweepOptions::default())
+        let store = ResultStore::open(&store_path);
+        plan().run_fault_tolerant(
+            &lab,
+            4,
+            &SweepOptions {
+                store: Some(&store),
+                ..SweepOptions::default()
+            },
+        )
     };
     assert_eq!(first.failed(), 2);
-    let manifest = Manifest {
-        name: "fault-smoke".to_string(),
-        records: first.outcomes,
-    };
 
-    // Second pass: fresh lab, no faults, resuming from the manifest.
+    // Second pass: fresh lab and a reopened store, no faults.
     let lab = Lab::with_faults(FaultPlan::none());
+    let store = ResultStore::open(&store_path);
     let exec = plan().run_fault_tolerant(
         &lab,
         4,
         &SweepOptions {
-            resume_from: Some(&manifest),
+            store: Some(&store),
             ..SweepOptions::default()
         },
     );
-    assert_eq!(exec.skipped, 7, "all prior successes are skipped");
+    assert_eq!(exec.store_hits, 7, "all prior successes are served");
     assert_eq!(exec.ran, 2, "only the two failed cells re-run");
     assert_eq!(exec.failed(), 0);
-    assert_eq!(exec.outcomes.len(), 9, "skipped cells keep their records");
+    assert_eq!(exec.outcomes.len(), 9, "served cells keep their records");
     assert_eq!(
         lab.records().len(),
         2,
@@ -133,12 +144,14 @@ fn resume_skips_previously_successful_cells() {
         .collect();
     assert!(rerun.contains(&("mst".to_string(), "stream+cdp".to_string())));
     assert!(rerun.contains(&("health".to_string(), "stream".to_string())));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Drives the real `run_all` binary: a fault-injected sweep must
 /// complete the healthy cells, write `Failed` records for the injected
-/// ones, exit nonzero, and leave a manifest that a `--resume` rerun
-/// (faults cleared) uses to re-simulate only the failed cells.
+/// ones, exit nonzero, and commit the healthy cells to the `--store`,
+/// so a rerun on the same store (faults cleared) re-simulates only the
+/// failed cells.
 #[test]
 fn run_all_binary_survives_faults_and_resumes() {
     let lab_dir = std::env::temp_dir().join(format!("bench-fault-{}", std::process::id()));
@@ -146,7 +159,8 @@ fn run_all_binary_survives_faults_and_resumes() {
     std::fs::create_dir_all(&lab_dir).unwrap();
 
     let config = lab_dir.join("request.json");
-    let run = |fault_plan: Option<&str>, resume: bool| {
+    let store_path = lab_dir.join("results.store");
+    let run = |fault_plan: Option<&str>| {
         let request = RequestOverlay {
             workloads: Some(WORKLOADS.map(String::from).to_vec()),
             input: Some(InputSet::Test),
@@ -161,10 +175,9 @@ fn run_all_binary_survives_faults_and_resumes() {
             .arg("--jobs")
             .arg("4")
             .arg("--config")
-            .arg(&config);
-        if resume {
-            cmd.arg("--resume");
-        }
+            .arg(&config)
+            .arg("--store")
+            .arg(&store_path);
         cmd.output().expect("run_all spawns")
     };
     let manifest_path = lab_dir.join("run_all.json");
@@ -173,17 +186,16 @@ fn run_all_binary_survives_faults_and_resumes() {
     };
 
     // Pass 1: injected panic + livelock → nonzero exit, mixed manifest.
-    let out = run(
-        Some("panic@mst:test:stream+cdp;livelock@health:test:stream"),
-        false,
-    );
+    let out = run(Some(
+        "panic@mst:test:stream+cdp;livelock@health:test:stream",
+    ));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         !out.status.success(),
         "injected faults must fail the run\n{stderr}"
     );
     assert!(
-        stderr.contains("9 ran, 0 skipped (resume), 2 failed"),
+        stderr.contains("9 ran, 2 failed"),
         "unexpected sweep summary:\n{stderr}"
     );
     let manifest = load(&manifest_path);
@@ -194,14 +206,18 @@ fn run_all_binary_survives_faults_and_resumes() {
     assert!(kinds.contains(&"panic".to_string()), "{kinds:?}");
     assert!(kinds.contains(&"deadlock".to_string()), "{kinds:?}");
 
-    // Pass 2: faults cleared, --resume → only the two failed cells
+    // Pass 2: faults cleared, same store → only the two failed cells
     // re-run, exit zero, fully successful manifest.
-    let out = run(None, true);
+    let out = run(None);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "resume pass must succeed\n{stderr}");
+    assert!(out.status.success(), "restart pass must succeed\n{stderr}");
     assert!(
-        stderr.contains("2 ran, 7 skipped (resume), 0 failed"),
-        "resume must re-run only the failed cells:\n{stderr}"
+        stderr.contains("2 ran, 0 failed"),
+        "restart must re-run only the failed cells:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("result store served 7 cell(s)"),
+        "the prior successes come from the store:\n{stderr}"
     );
     let manifest = load(&manifest_path);
     assert_eq!(manifest.records.len(), 9);

@@ -18,8 +18,8 @@
 use std::path::PathBuf;
 
 use bench::{
-    CheckpointConfig, FailureRecord, FaultPlan, Lab, Manifest, RunOutcome, RunRecord, SweepOptions,
-    SweepPlan,
+    CheckpointConfig, FailureRecord, FaultAction, FaultPlan, Lab, Manifest, ResultStore,
+    RunOutcome, RunRecord, SweepOptions, SweepPlan,
 };
 use ecdp::system::SystemKind;
 use workloads::InputSet;
@@ -229,13 +229,33 @@ fn mixed_manifest_roundtrips_through_golden_write_path() {
         Some("deadlock")
     );
     assert!(records[1].get("stats").is_none(), "failures carry no stats");
-    // Failed cells never satisfy the resume-skip rule.
-    assert!(!parsed.has_success(
+
+    // A failed cell is never committed to the result store, so a rerun
+    // on the same store simulates it again instead of serving it.
+    let dir = std::env::temp_dir().join(format!("golden-failed-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ResultStore::open(dir.join("results.store"));
+    let mut faults = FaultPlan::none();
+    faults.push(
+        FaultAction::Panic,
         &failed.workload,
         &failed.input,
         &failed.system,
-        failed.config_hash
-    ));
+    );
+    let mut plan = SweepPlan::new("failed-cell");
+    plan.push(&failed.workload, InputSet::Test, SystemKind::StreamCdp);
+    let exec = plan.run_fault_tolerant(
+        &Lab::with_faults(faults),
+        1,
+        &SweepOptions {
+            store: Some(&store),
+            ..SweepOptions::default()
+        },
+    );
+    assert_eq!(exec.failed(), 1);
+    assert!(store.is_empty(), "a failed cell must not be committed");
+    assert!(store.committed(&plan.cells[0]).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn compare_stats(g: &RunRecord, r: &RunRecord, ctx: &str) {

@@ -161,6 +161,59 @@ fn concurrent_clients_coalesce_overlap_and_match_solo_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store record computed from an older version of a workload file is
+/// a miss for the service, exactly as for `run_all --store`: the cell
+/// re-simulates and the served record carries the registry's current
+/// provenance hash.
+#[test]
+fn stale_provenance_store_record_is_not_served_as_a_hit() {
+    let dir = scratch("stale-hit");
+    let spec = dir.join("svcstale.wl");
+    std::fs::write(
+        &spec,
+        "workload svcstale {
+    seed 11;
+    node Node { size 24; ptr next @ 16; field data @ 0; }
+    chain items: Node { count 64; layout shuffled; }
+    traverse items { order forward; repeat 1; visit { load data; compute 4; } }
+}
+",
+    )
+    .unwrap();
+    workloads::registry::register_file(&spec).unwrap();
+    let current = bench::manifest::workload_provenance("svcstale").unwrap();
+
+    let store = Arc::new(ResultStore::open(dir.join("results.store")));
+    let mut stale = RunRecord::new(
+        "svcstale",
+        InputSet::Test,
+        SystemKind::StreamOnly,
+        &sim_core::RunStats::default(),
+        1.0,
+    );
+    stale.workload_hash = Some("00000000deadbeef".to_string());
+    assert_ne!(stale.workload_hash.as_deref(), Some(current.as_str()));
+    store.append(&stale, None);
+
+    let svc = SweepService::start(bench::Lab::new(), Some(store), 1);
+    let job = svc
+        .submit(
+            SweepRequest::default()
+                .with_workloads(&["svcstale"])
+                .with_input(InputSet::Test)
+                .with_systems(&[SystemKind::StreamOnly]),
+        )
+        .unwrap();
+    wait_done(&job);
+    assert_eq!(job.status().hits, 0, "a stale record must not be a hit");
+    assert_eq!(svc.cells_simulated(), 1, "the stale cell re-simulates");
+    let records = job.manifest().unwrap().records;
+    let record = records[0].success().expect("the cell succeeds");
+    assert_eq!(record.workload_hash.as_deref(), Some(current.as_str()));
+    assert_eq!(record.store.as_deref(), Some("appended"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // HTTP end-to-end against the real binary
 // ---------------------------------------------------------------------

@@ -9,6 +9,9 @@
 //!   deterministic stats are byte-identical across re-runs;
 //! * a second run against the same result store is served entirely from
 //!   the store (`store: "hit"`);
+//! * editing a spec invalidates both its store record and its warm
+//!   checkpoint: the edited workload re-simulates cold instead of
+//!   forking from the old file's warm state;
 //! * malformed specs and unknown `--filter` names exit 2 with pointed
 //!   diagnostics (line/column, did-you-mean).
 
@@ -102,8 +105,13 @@ fn write_xtrc(path: &Path) {
 
 fn run_all(dir: &Path, args: &[&str]) -> Output {
     // One cheap system keeps the grid small; the `--workload-file` flags
-    // layer over this config exactly as a user's would.
-    std::fs::write(dir.join("request.json"), r#"{"systems":["stream"]}"#).unwrap();
+    // layer over this config exactly as a user's would. The early
+    // capture point gives these ~12k-cycle cells a warm checkpoint.
+    std::fs::write(
+        dir.join("request.json"),
+        r#"{"systems":["stream"],"checkpoint":{"dir":"ckpt","warm_cycles":4000}}"#,
+    )
+    .unwrap();
     Command::new(env!("CARGO_BIN_EXE_run_all"))
         .current_dir(dir)
         .args(["--config", "request.json"])
@@ -183,13 +191,12 @@ fn wl_and_xtrc_files_run_end_to_end_with_store_and_provenance() {
         );
     }
 
-    // Editing the spec invalidates the store entry: the changed cell
-    // re-simulates instead of inheriting the stale result.
-    std::fs::write(
-        dir.join("frontier.wl"),
-        SPEC.replace("count 200", "count 150"),
-    )
-    .unwrap();
+    // Editing the spec invalidates the store entry and the warm
+    // checkpoint: the changed cell re-simulates from a cold start
+    // instead of inheriting the stale result or forking the old file's
+    // warm state. A new layout seed keeps the op count, so a checkpoint
+    // keyed without provenance would still load and fork.
+    std::fs::write(dir.join("frontier.wl"), SPEC.replace("seed 11", "seed 12")).unwrap();
     let third = run_all(dir, &args);
     assert!(
         third.status.success(),
@@ -200,6 +207,11 @@ fn wl_and_xtrc_files_run_end_to_end_with_store_and_provenance() {
         match r.workload.as_str() {
             "frontier" => {
                 assert_ne!(r.store.as_deref(), Some("hit"), "stale spec must re-run");
+                assert_ne!(
+                    r.checkpoint.as_deref(),
+                    Some("forked"),
+                    "stale spec must not fork from the old spec's checkpoint"
+                );
             }
             "extstream" => assert_eq!(r.store.as_deref(), Some("hit")),
             other => panic!("unexpected workload {other}"),

@@ -1908,7 +1908,7 @@ impl Machine {
     /// Applies an armed snapshot to the freshly built cores and `dram`,
     /// restoring the per-core first-completion statistics into
     /// `finished`. Returns the cycle to resume at.
-    fn resume_from(
+    fn apply_snapshot(
         &mut self,
         snap: &Snapshot,
         sims: &mut [CoreSim],
@@ -2077,7 +2077,7 @@ impl Machine {
         self.captured = None;
         if let Some(snap) = self.resume.take() {
             now = self
-                .resume_from(&snap, sims, &mut dram, &mut finished)
+                .apply_snapshot(&snap, sims, &mut dram, &mut finished)
                 .map_err(|e| SimError::SnapshotRejected(e.to_string()))?;
         }
         let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);

@@ -85,8 +85,8 @@ impl From<io::Error> for XtraceError {
 }
 
 /// FNV-1a over the raw file bytes — the provenance content hash recorded
-/// in run manifests so result-store hits and `--resume` can prove they
-/// matched the same trace.
+/// in run manifests so a result-store hit can prove it matched the same
+/// trace.
 struct Fnv(u64);
 
 impl Fnv {

@@ -4,8 +4,8 @@
 //! Built-ins register at first use under their paper suite tags
 //! ([`SUITE_POINTER`], [`SUITE_STREAMING`]); files loaded at runtime via
 //! [`register_file`] join under [`SUITE_LOADED`] with a provenance
-//! content hash, so manifests, the result store and `--resume` can prove
-//! two runs used the same bytes. Three file kinds are accepted,
+//! content hash, so manifests, the result store and warm checkpoints can
+//! prove two runs used the same bytes. Three file kinds are accepted,
 //! dispatched by extension:
 //!
 //! * `.wl` — workload DSL (may declare several workloads per file);
