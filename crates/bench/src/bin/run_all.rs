@@ -1,7 +1,10 @@
-//! Regenerates every table and figure of the paper and writes the combined
-//! report to `EXPERIMENTS.md` (in the workspace root, or the path given as
-//! the last positional argument). Also writes the run manifest of every
-//! simulated cell to `target/lab/run_all.json`.
+//! The one report driver: regenerates every section of the paper's
+//! evaluation — each table and figure, the §4 contention measurement and
+//! the "Ablations and extensions" block, in the order of
+//! [`bench::experiments::SECTIONS`] — and writes the combined report to
+//! `EXPERIMENTS.md` (in the workspace root, or the path given as the last
+//! positional argument). Also writes the run manifest of every simulated
+//! cell to `<lab_dir>/run_all.json` (default `target/lab`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]
@@ -36,8 +39,9 @@
 //!    enabled and writes per-cell `timeseries.json` + `obs.jsonl` under
 //!    `DIR`; the manifest records the artifact paths.
 //! 2. **Sections**: report sections are generated concurrently on the
-//!    same pool (mostly cache hits after the sweep); a failing section is
-//!    reported inline in the output instead of aborting the report.
+//!    same pool ([`bench::experiments::run_sections`]; mostly cache hits
+//!    after the sweep); a failing section is reported inline in the
+//!    output instead of aborting the report.
 //!
 //! The process exits 0 only if every sweep cell and every section
 //! succeeded; any failure exits 1 (usage errors — including an invalid
@@ -54,15 +58,16 @@
 //! any thread count (only the trailing timing line varies): results are
 //! assembled in section order and every simulation is memoized
 //! process-wide by the `Lab`. `--filter` keeps only sections whose name
-//! contains the substring (case-insensitive) and skips the sweep phase.
+//! contains the substring (case-insensitive) and skips the sweep phase —
+//! `--filter "figure 7"` regenerates Figure 7 + Table 6, `--filter 6.7`
+//! the §6.7 non-pointer study, `--filter ablation` the ablations — and a
+//! filter matching no section exits 2.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bench::cli::{parse_args, Parsed, RunAllArgs, USAGE};
-use bench::experiments::{compare, misc, multi, single};
+use bench::experiments::{run_sections, Section, SECTIONS};
 use bench::{
     Lab, Manifest, ManifestWriter, RequestOverlay, ResultStore, RunOutcome, SweepOptions,
     SweepRequest,
@@ -95,6 +100,7 @@ fn run_validate(args: &RunAllArgs, request: &SweepRequest) -> ! {
         &request.workloads,
         request.input,
         &request.validate_thresholds.unwrap_or_default(),
+        request.jobs.unwrap_or_else(bench::default_jobs),
     );
     for r in &report.results {
         eprintln!(
@@ -267,63 +273,16 @@ fn main() {
         return;
     }
 
-    // Phase 2 — generate sections concurrently; collect in declaration
-    // order. A panicking section becomes an inline error block.
-    type Section<'a> = (&'a str, fn(&Lab) -> String);
-    let mut sections: Vec<Section> = vec![
-        ("Figure 1", single::fig01),
-        ("Figure 2 + Table 1", single::fig02_tab01),
-        ("Figure 4", single::fig04),
-        ("Figure 7 + Table 6", single::fig07_tab06),
-        ("Figure 8", single::fig08),
-        ("Figure 9", single::fig09),
-        ("Figure 10", single::fig10),
-        ("Table 7", |_lab| single::tab07()),
-        ("Figure 11", compare::fig11),
-        ("Figure 12", compare::fig12),
-        ("Figure 13", compare::fig13),
-        ("Section 6.1.6", single::sec616),
-        ("Section 6.3", compare::sec63),
-        ("Section 6.7", misc::sec67),
-        ("Section 7.1", compare::sec71),
-        ("Section 7.2", compare::sec72),
-        ("Section 7.4", compare::sec74),
-        ("Figure 14", multi::fig14),
-        ("Figure 15", multi::fig15),
-    ];
+    // Phase 2 — generate sections concurrently; collect in table order.
+    // A panicking section becomes an inline error block.
+    let mut sections: Vec<Section> = SECTIONS.to_vec();
     if let Some(f) = &args.filter {
         sections.retain(|(name, _)| name.to_lowercase().contains(f));
         if sections.is_empty() {
             fail_usage(&format!("no section matches --filter {f}"));
         }
     }
-
-    let n = sections.len();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<std::sync::OnceLock<Result<String, String>>> = Vec::new();
-    slots.resize_with(n, std::sync::OnceLock::new);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.clamp(1, n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (name, f) = sections[i];
-                let t = Instant::now();
-                eprintln!("[run_all] {name} ...");
-                let text = catch_unwind(AssertUnwindSafe(|| f(&lab))).map_err(|payload| {
-                    payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
-                        .unwrap_or_else(|| "non-string panic payload".to_string())
-                });
-                eprintln!("[run_all] {name} done in {:.1?}", t.elapsed());
-                let _ = slots[i].set(text);
-            });
-        }
-    });
+    let texts = run_sections(&lab, &sections, jobs);
 
     let mut report = String::from(
         "# EXPERIMENTS — paper vs reproduction\n\n\
@@ -335,8 +294,8 @@ fn main() {
          `paper:` quote the original result for comparison; absolute numbers are\n\
          not expected to match, the win/loss structure is.\n\n",
     );
-    for (slot, (name, _)) in slots.into_iter().zip(&sections) {
-        match slot.into_inner().expect("every section generated") {
+    for (text, (name, _)) in texts.into_iter().zip(&sections) {
+        match text {
             Ok(text) => report.push_str(&text),
             Err(msg) => {
                 failures += 1;

@@ -59,6 +59,26 @@ fn run_with(
     m.run(trace).expect("ablation run failed")
 }
 
+/// The "Ablations and extensions" report section: every study of this
+/// module plus the extended prefetcher comparison, under one heading.
+pub fn ablations(lab: &Lab) -> String {
+    let mut report = String::from("# Ablations and extensions\n\n");
+    for study in [
+        compare_bits_sweep as fn(&Lab) -> String,
+        recursion_depth_sweep,
+        interval_sweep,
+        hint_threshold_sweep,
+        profile_quality,
+        dram_policy_sweep,
+        three_prefetchers,
+        crate::experiments::compare::extended_prefetchers,
+    ] {
+        report.push_str(&study(lab));
+        report.push('\n');
+    }
+    report
+}
+
 /// Sweep the CDP compare-bits parameter (paper §5 fixes it at 8 of 32).
 pub fn compare_bits_sweep(lab: &Lab) -> String {
     let bits = [4u32, 8, 12, 16];

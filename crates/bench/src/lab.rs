@@ -27,9 +27,7 @@ use sim_core::{DiagnosticSnapshot, ObsConfig, RunStats, RunTrace, SimError, Snap
 use workloads::{registry, InputSet, StreamSource};
 
 use crate::fault::{FaultAction, FaultPlan};
-use crate::manifest::{
-    config_hash, input_label, workload_provenance, Manifest, RunOutcome, RunRecord,
-};
+use crate::manifest::{config_hash, input_label, workload_provenance, RunRecord};
 
 /// Locks a mutex, recovering from poisoning.
 ///
@@ -709,24 +707,6 @@ impl Lab {
             .collect();
         records.sort_by_key(RunRecord::sort_key);
         records
-    }
-
-    /// Writes the manifest of every run executed so far to
-    /// `target/lab/<name>.json` (see [`Manifest::write`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_manifest(&self, name: &str) -> std::io::Result<PathBuf> {
-        Manifest {
-            name: name.to_string(),
-            records: self
-                .records()
-                .into_iter()
-                .map(RunOutcome::Success)
-                .collect(),
-        }
-        .write(Path::new(Manifest::DEFAULT_DIR))
     }
 }
 

@@ -1,13 +1,16 @@
 //! Experiment harness for the ECDP reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a generator
-//! function in [`experiments`]; the `bin/` binaries are thin wrappers, and
-//! `bin/run_all` regenerates the complete `EXPERIMENTS.md`. The [`Lab`]
-//! is a thread-safe cache of workload traces, profiling artifacts and run
-//! results, so composite reports never repeat a simulation and the
-//! [`sweep`] executor can fan cells out across worker threads. Every run
-//! also leaves a [`manifest::RunRecord`] behind; binaries write the
-//! collected records to `target/lab/<name>.json` for the regression
+//! Every table and figure of the paper's evaluation, the §4 contention
+//! measurement and the ablation studies have a generator function in
+//! [`experiments`], listed in report order by [`experiments::SECTIONS`].
+//! `bin/run_all` is the one report driver: it regenerates the complete
+//! `EXPERIMENTS.md`, or the sections a `--filter` names. The [`Lab`] is a
+//! thread-safe cache of workload traces, profiling artifacts and run
+//! results, so composite reports never repeat a simulation; the sweep,
+//! the report sections and the conformance suite all fan out on one
+//! worker pool, [`sweep::par_map`]. Every run also leaves a
+//! [`manifest::RunRecord`] behind; `run_all` writes the collected records
+//! to `<lab_dir>/run_all.json` (default `target/lab`) for the regression
 //! tests.
 
 pub mod chart;
@@ -39,29 +42,6 @@ pub use store::{
 pub use sweep::{default_jobs, RetryPolicy, SweepCell, SweepExecution, SweepOptions, SweepPlan};
 pub use table::Table;
 pub use validate::{run_conformance, PropertyResult, ValidateReport, VALIDATE_SCHEMA_VERSION};
-
-/// Runs one report generator against a fresh [`Lab`], prints the report,
-/// and writes the run manifest to `target/lab/<name>.json`.
-///
-/// This is the shared entry point of the thin per-figure binaries. A
-/// panicking generator (e.g. a wedged simulation surfaced through
-/// [`Lab::run_on`]) still gets its manifest of completed cells written,
-/// and the process exits with status 1 instead of aborting mid-stream.
-pub fn run_report(name: &str, generate: impl FnOnce(&Lab) -> String) {
-    let lab = Lab::new();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| generate(&lab)));
-    match &result {
-        Ok(report) => print!("{report}"),
-        Err(_) => eprintln!("[lab] report {name} failed; writing partial manifest"),
-    }
-    match lab.write_manifest(name) {
-        Ok(path) => eprintln!("[lab] manifest: {}", path.display()),
-        Err(e) => eprintln!("[lab] manifest write failed: {e}"),
-    }
-    if result.is_err() {
-        std::process::exit(1);
-    }
-}
 
 /// Geometric mean of a slice of positive ratios.
 ///

@@ -51,20 +51,13 @@ use workloads::InputSet;
 /// Hash of the default machine configuration, recorded in every
 /// [`RunRecord`] so stale manifests are detectable after config changes.
 ///
-/// FNV-1a over the `Debug` rendering of [`MachineConfig::default`]: not
-/// cryptographic, but any field change changes the hash. Computed once
-/// per process; every store lookup keys on it.
+/// The snapshot fingerprint ([`sim_core::config_fingerprint`]) of
+/// [`MachineConfig::default`]: not cryptographic, but any field change
+/// changes the hash. Computed once per process; every store lookup keys
+/// on it.
 pub fn config_hash() -> u64 {
     static HASH: OnceLock<u64> = OnceLock::new();
-    *HASH.get_or_init(|| {
-        let rendered = format!("{:?}", MachineConfig::default());
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in rendered.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    })
+    *HASH.get_or_init(|| sim_core::config_fingerprint(&MachineConfig::default()))
 }
 
 /// The lower-cased input label (`"train"` / `"ref"` / `"test"`) that

@@ -22,6 +22,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ecdp::system::SystemKind;
@@ -146,7 +147,9 @@ impl SweepExecution {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted message), or a placeholder for any other payload type.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -228,51 +231,62 @@ impl SweepPlan {
         jobs: usize,
         opts: &SweepOptions<'_>,
     ) -> SweepExecution {
-        let n = self.cells.len();
-        let workers = jobs.clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
         let store_hits = AtomicUsize::new(0);
-        let mut slots: Vec<std::sync::OnceLock<RunOutcome>> = Vec::new();
-        slots.resize_with(n, std::sync::OnceLock::new);
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell = &self.cells[i];
-                    let outcome = match opts.store.and_then(|s| s.committed(cell)) {
-                        Some(record) => {
-                            store_hits.fetch_add(1, Ordering::Relaxed);
-                            RunOutcome::Success(record)
-                        }
-                        None => supervise_cell(lab, cell, opts),
-                    };
-                    if let Some(w) = opts.writer {
-                        if let Err(e) = w.append(i, outcome.clone()) {
-                            eprintln!("[sweep] manifest flush failed: {e}");
-                        }
-                    }
-                    let _ = slots[i].set(outcome);
-                });
+        let indexed: Vec<(usize, &SweepCell)> = self.cells.iter().enumerate().collect();
+        let outcomes = par_map(&indexed, jobs, |&(i, cell)| {
+            let outcome = match opts.store.and_then(|s| s.committed(cell)) {
+                Some(record) => {
+                    store_hits.fetch_add(1, Ordering::Relaxed);
+                    RunOutcome::Success(record)
+                }
+                None => supervise_cell(lab, cell, opts),
+            };
+            if let Some(w) = opts.writer {
+                if let Err(e) = w.append(i, outcome.clone()) {
+                    eprintln!("[sweep] manifest flush failed: {e}");
+                }
             }
+            outcome
         });
-
         let store_hits = store_hits.into_inner();
         SweepExecution {
-            outcomes: slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("every claimed cell stored an outcome")
-                })
-                .collect(),
-            ran: n - store_hits,
+            ran: outcomes.len() - store_hits,
+            outcomes,
             store_hits,
         }
     }
+}
+
+/// Maps `f` over `items` on up to `jobs` scoped worker threads and
+/// returns the results in input order.
+///
+/// Workers claim the next unclaimed index from an atomic counter, so at
+/// most `jobs` items are in flight at once and a slow item never holds
+/// back the others. This is the one worker pool of the crate: the sweep,
+/// the report sections and the conformance suite all run on it. A panic
+/// in `f` propagates to the caller once every worker has stopped;
+/// callers that must isolate failures catch them inside `f`.
+pub fn par_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<OnceLock<R>> = Vec::new();
+    slots.resize_with(items.len(), OnceLock::new);
+    std::thread::scope(|s| {
+        for _ in 0..jobs.clamp(1, items.len().max(1)) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let _ = slots[i].set(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every claimed item stored a result"))
+        .collect()
 }
 
 /// Runs one cell under the retry/deadline supervisor and commits the
@@ -458,6 +472,30 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn par_map_bounds_in_flight_work_and_keeps_input_order() {
+        let items: Vec<usize> = (0..32).collect();
+        for jobs in [1, 4] {
+            let in_flight = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            // The first `jobs` items wait for each other, so they are held
+            // by `jobs` distinct workers at once.
+            let barrier = std::sync::Barrier::new(jobs);
+            let out = par_map(&items, jobs, |&x| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                if x < jobs {
+                    barrier.wait();
+                }
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                x * 10
+            });
+            assert_eq!(out, items.iter().map(|x| x * 10).collect::<Vec<_>>());
+            assert_eq!(peak.into_inner(), jobs, "in-flight items never exceed jobs");
+        }
+        assert!(par_map(&[] as &[u8], 4, |&b| b).is_empty());
     }
 
     #[test]

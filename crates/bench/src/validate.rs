@@ -45,6 +45,7 @@ use sim_core::{
 use workloads::InputSet;
 
 use crate::lab::Lab;
+use crate::sweep::{panic_message, par_map};
 
 /// Schema version of `VALIDATE_report.json`. Bump on any change to the
 /// report's field layout.
@@ -395,14 +396,7 @@ fn run_property(
     let (passed, detail) = match outcome {
         Ok(Ok(detail)) => (true, detail),
         Ok(Err(detail)) => (false, detail),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
-            (false, format!("panicked: {msg}"))
-        }
+        Err(panic) => (false, format!("panicked: {}", panic_message(panic))),
     };
     PropertyResult {
         property: property.to_string(),
@@ -413,42 +407,28 @@ fn run_property(
 }
 
 /// Runs the full conformance suite: every [`PROPERTIES`] entry on every
-/// workload, one worker thread per workload (cells are cached in `lab`,
-/// so paired configs shared between properties simulate once).
-/// `thresholds` drive the Table 3 re-derivation; pass the paper's
-/// [`ThrottleThresholds::default`] unless injecting a violation.
+/// workload, one workload per task on up to `jobs` worker threads
+/// ([`par_map`]; cells are cached in `lab`, so paired configs shared
+/// between properties simulate once). `thresholds` drive the Table 3
+/// re-derivation; pass the paper's [`ThrottleThresholds::default`]
+/// unless injecting a violation.
 pub fn run_conformance(
     lab: &Lab,
     names: &[String],
     input: InputSet,
     thresholds: &ThrottleThresholds,
+    jobs: usize,
 ) -> ValidateReport {
-    let mut results = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = names
+    let mut results: Vec<PropertyResult> = par_map(names, jobs, |name| {
+        PROPERTIES
             .iter()
-            .map(|name| {
-                scope.spawn(move || {
-                    PROPERTIES
-                        .iter()
-                        .map(|(prop, f)| run_property(lab, prop, *f, name, input, thresholds))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(rs) => results.extend(rs),
-                Err(_) => results.push(PropertyResult {
-                    property: "worker".into(),
-                    workload: "?".into(),
-                    passed: false,
-                    detail: "conformance worker thread panicked".into(),
-                }),
-            }
-        }
-    });
-    // Deterministic report order regardless of thread scheduling.
+            .map(|(prop, f)| run_property(lab, prop, *f, name, input, thresholds))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    // Report order: by workload, then property name.
     results.sort_by(|a, b| {
         a.workload
             .cmp(&b.workload)

@@ -86,8 +86,8 @@ pub use prefetcher::{
     PrefetchObserver, PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 pub use snapshot::{
-    config_fingerprint, SnapReader, SnapWriter, Snapshot, SnapshotError, SNAPSHOT_MAGIC,
-    SNAPSHOT_SCHEMA, SNAPSHOT_VERSION,
+    config_fingerprint, fnv1a_update, SnapReader, SnapWriter, Snapshot, SnapshotError, FNV1A_BASIS,
+    SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA, SNAPSHOT_VERSION,
 };
 pub use stats::{PrefetcherStats, PrefetcherSummary, RunStats, StatsSummary};
 pub use stream::{

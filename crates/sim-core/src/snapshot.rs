@@ -122,18 +122,40 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// FNV-1a fingerprint of a machine configuration's `Debug` rendering.
+/// FNV-1a offset basis: the hash of no bytes.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a loop: folds `bytes` into `hash` with multiplier `prime`.
+fn fnv1a_fold(mut hash: u64, prime: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(prime);
+    }
+    hash
+}
+
+/// Folds `bytes` into a running 64-bit FNV-1a `hash` that starts at
+/// [`FNV1A_BASIS`]: the content hash behind workload-file provenance and
+/// streamed `.xtrc` files.
+pub fn fnv1a_update(hash: u64, bytes: &[u8]) -> u64 {
+    fnv1a_fold(hash, 0x0000_0100_0000_01b3, bytes)
+}
+
+/// FNV-1a-style fingerprint of a machine configuration's `Debug`
+/// rendering.
 ///
 /// Stored in every snapshot and checked at fork time: forking under a
 /// different configuration would silently desynchronize the restored
 /// micro-architectural state from the model, so it is rejected instead.
+/// Its multiplier is not the FNV prime (one zero digit too many), but
+/// snapshots, result-store keys and the golden files pin fingerprints
+/// computed with it, so it stays.
 pub fn config_fingerprint(config: &MachineConfig) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in format!("{config:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
+    fnv1a_fold(
+        FNV1A_BASIS,
+        0x1000_0000_01b3,
+        format!("{config:?}").as_bytes(),
+    )
 }
 
 /// Little-endian byte sink used by every `save_state` implementation.
@@ -873,5 +895,12 @@ mod tests {
         b.core.window_size += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
         assert_eq!(config_fingerprint(&a), config_fingerprint(&a));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_streams() {
+        assert_eq!(fnv1a_update(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let streamed = fnv1a_update(fnv1a_update(FNV1A_BASIS, b"foo"), b"bar");
+        assert_eq!(streamed, fnv1a_update(FNV1A_BASIS, b"foobar"));
     }
 }

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 
 use sim_mem::SimMemory;
 
+use crate::snapshot::{fnv1a_update, FNV1A_BASIS};
 use crate::trace::{OpKind, OpSource, Trace, TraceOp, NO_DEP};
 
 /// Magic bytes opening every external trace file.
@@ -84,28 +85,12 @@ impl From<io::Error> for XtraceError {
     }
 }
 
-/// FNV-1a over the raw file bytes — the provenance content hash recorded
-/// in run manifests so a result-store hit can prove it matched the same
-/// trace.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// Reader that folds every consumed byte into the content hash.
+/// Reader that folds every consumed byte into the FNV-1a content hash —
+/// the provenance hash recorded in run manifests so a result-store hit
+/// can prove it matched the same trace.
 struct HashingReader<R> {
     inner: R,
-    fnv: Fnv,
+    fnv: u64,
     /// Bytes consumed so far (for error offsets).
     offset: u64,
 }
@@ -113,7 +98,7 @@ struct HashingReader<R> {
 impl<R: Read> HashingReader<R> {
     fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
         self.inner.read_exact(buf)?;
-        self.fnv.update(buf);
+        self.fnv = fnv1a_update(self.fnv, buf);
         self.offset += buf.len() as u64;
         Ok(())
     }
@@ -328,7 +313,7 @@ impl ExternalTrace {
         let file = File::open(&path)?;
         let mut r = HashingReader {
             inner: BufReader::new(file),
-            fnv: Fnv::new(),
+            fnv: FNV1A_BASIS,
             offset: 0,
         };
 
@@ -391,7 +376,7 @@ impl ExternalTrace {
                 )))
             }
         }
-        let content_hash = r.fnv.0;
+        let content_hash = r.fnv;
 
         let mut file = r.inner;
         file.seek(SeekFrom::Start(data_start))?;

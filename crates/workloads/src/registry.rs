@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
-use sim_core::{ExternalTrace, Trace};
+use sim_core::{fnv1a_update, ExternalTrace, Trace, FNV1A_BASIS};
 
 use crate::loader;
 use crate::{bio, olden, olden_extra, spec_fp, spec_int, streaming};
@@ -359,17 +359,6 @@ pub fn suggest(name: &str) -> Option<&'static str> {
     read().suggest(name)
 }
 
-/// FNV-1a over a byte slice (same function the external-trace reader
-/// uses, so `.wl`/`.trace` and `.xtrc` hashes are comparable).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A hand-written text trace registered as a workload: every input set
 /// replays the same fixed trace.
 struct TextTraceWorkload {
@@ -445,7 +434,7 @@ pub fn register_file(path: impl AsRef<Path>) -> Result<Vec<String>, String> {
         "wl" => {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let hash = fnv1a(src.as_bytes());
+            let hash = fnv1a_update(FNV1A_BASIS, src.as_bytes());
             let specs = loader::load_specs(&src).map_err(|e| format!("{}: {e}", path.display()))?;
             let mut reg = global().write().expect("workload registry poisoned");
             for w in specs {
@@ -464,7 +453,7 @@ pub fn register_file(path: impl AsRef<Path>) -> Result<Vec<String>, String> {
         "trace" => {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let hash = fnv1a(src.as_bytes());
+            let hash = fnv1a_update(FNV1A_BASIS, src.as_bytes());
             let trace =
                 loader::parse_trace(&src).map_err(|e| format!("{}: {e}", path.display()))?;
             let name = leak(sanitized_stem(path)?);

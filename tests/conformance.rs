@@ -35,6 +35,7 @@ fn conformance_properties_hold_on_the_smoke_grid() {
         &smoke_names(),
         InputSet::Test,
         &ThrottleThresholds::default(),
+        SMOKE.len(),
     );
     assert_eq!(
         report.results.len(),
@@ -52,6 +53,28 @@ fn conformance_properties_hold_on_the_smoke_grid() {
     assert_eq!(back, report);
 }
 
+/// The report does not depend on the worker count: a 2-workload grid on
+/// a fresh lab serializes byte-identically at 1 and 3 workers (3 > grid
+/// size, so one worker finds nothing to claim).
+#[test]
+fn conformance_report_is_identical_at_any_job_count() {
+    let names: Vec<String> = ["mst", "health"].iter().map(ToString::to_string).collect();
+    let report_at = |jobs| {
+        run_conformance(
+            &Lab::new(),
+            &names,
+            InputSet::Test,
+            &ThrottleThresholds::default(),
+            jobs,
+        )
+        .to_json()
+        .to_string_pretty()
+    };
+    let serial = report_at(1);
+    assert_eq!(serial, report_at(3));
+    assert!(serial.contains("\"workload\": \"health\""), "{serial}");
+}
+
 /// An injected panic in one grid cell fails the properties that run that
 /// cell — and only the affected workload; the others stay green.
 #[test]
@@ -64,6 +87,7 @@ fn injected_fault_fails_the_properties_that_run_it() {
         &smoke_names(),
         InputSet::Test,
         &ThrottleThresholds::default(),
+        SMOKE.len(),
     );
     assert!(!report.passed());
 
