@@ -9,35 +9,6 @@
 
 use ecdp::system::SystemKind;
 
-const ALL_KINDS: [SystemKind; 22] = [
-    SystemKind::NoPrefetch,
-    SystemKind::StreamOnly,
-    SystemKind::OracleLds,
-    SystemKind::StreamCdp,
-    SystemKind::StreamEcdp,
-    SystemKind::StreamCdpThrottled,
-    SystemKind::StreamEcdpThrottled,
-    SystemKind::StreamDbp,
-    SystemKind::StreamMarkov,
-    SystemKind::GhbAlone,
-    SystemKind::GhbEcdp,
-    SystemKind::GhbEcdpThrottled,
-    SystemKind::StreamCdpHwFilter,
-    SystemKind::StreamCdpHwFilterThrottled,
-    SystemKind::StreamEcdpFdp,
-    SystemKind::StreamEcdpPab,
-    SystemKind::StreamGrpCdp,
-    SystemKind::StreamLoadFilterCdp,
-    SystemKind::NextLineOnly,
-    SystemKind::StrideOnly,
-    SystemKind::StreamJumpPointer,
-    SystemKind::StreamAvd,
-];
-
-fn kind_by_label(label: &str) -> Option<SystemKind> {
-    ALL_KINDS.iter().copied().find(|k| k.label() == label)
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: ecdp_sim <command>\n\
@@ -77,7 +48,7 @@ fn main() {
                 println!("  {:<12} {}", w.name(), w.describe());
             }
             println!("systems:");
-            for k in ALL_KINDS {
+            for k in SystemKind::ALL {
                 println!("  {}", k.label());
             }
         }
@@ -102,7 +73,7 @@ fn main() {
         Some("run") => {
             let name = args.get(1).cloned().unwrap_or_else(|| usage());
             let system = args.get(2).cloned().unwrap_or_else(|| usage());
-            let Some(kind) = kind_by_label(&system) else {
+            let Some(kind) = SystemKind::from_label(&system) else {
                 eprintln!("unknown system `{system}`; see `ecdp_sim list`");
                 std::process::exit(2);
             };

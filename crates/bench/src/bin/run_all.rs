@@ -2,9 +2,11 @@
 //! evaluation — each table and figure, the §4 contention measurement and
 //! the "Ablations and extensions" block, in the order of
 //! [`bench::experiments::SECTIONS`] — and writes the combined report to
-//! `EXPERIMENTS.md` (in the workspace root, or the path given as the last
-//! positional argument). Also writes the run manifest of every simulated
-//! cell to `<lab_dir>/run_all.json` (default `target/lab`).
+//! the path given as the last positional argument. With no path, a full
+//! run writes `EXPERIMENTS.md` (in the current directory) and a
+//! `--filter` run prints its sections to stdout, so a partial report
+//! never replaces the full one. Also writes the run manifest of every
+//! simulated cell to `<lab_dir>/run_all.json` (default `target/lab`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]
@@ -72,6 +74,7 @@ use bench::{
     Lab, Manifest, ManifestWriter, RequestOverlay, ResultStore, RunOutcome, SweepOptions,
     SweepRequest,
 };
+use sim_core::frame::atomic_write;
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("run_all: {msg}");
@@ -111,12 +114,7 @@ fn run_validate(args: &RunAllArgs, request: &SweepRequest) -> ! {
             r.detail
         );
     }
-    if let Some(parent) = Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, report.to_json().to_string_pretty()) {
+    if let Err(e) = atomic_write(&out_path, report.to_json().to_string_pretty()) {
         eprintln!("[run_all] cannot write {out_path}: {e}");
         std::process::exit(1);
     }
@@ -156,9 +154,10 @@ fn main() {
         run_validate(&args, &request);
     }
     let jobs = request.jobs.unwrap_or_else(bench::default_jobs);
+    // `None` (a filtered run with no path): print the report to stdout.
     let out_path = args
         .out_path
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+        .or_else(|| args.filter.is_none().then(|| "EXPERIMENTS.md".to_string()));
 
     let lab = Lab::for_request(&request);
     let lab_dir = Path::new(request.lab_dir.as_deref().unwrap_or(Manifest::DEFAULT_DIR));
@@ -309,7 +308,10 @@ fn main() {
         "---\nTotal generation time: {:.1?} ({jobs} worker threads).\n",
         t0.elapsed()
     ));
-    std::fs::write(&out_path, &report).expect("write report");
+    match &out_path {
+        Some(path) => atomic_write(path, &report).expect("write report"),
+        None => print!("{report}"),
+    }
 
     // Final manifest: the sweep's outcomes verbatim (success records may
     // carry --trace-dir artifact paths, which the lab cache does not
@@ -332,7 +334,9 @@ fn main() {
         Ok(path) => eprintln!("[lab] manifest: {}", path.display()),
         Err(e) => eprintln!("[lab] manifest write failed: {e}"),
     }
-    println!("wrote {out_path}");
+    if let Some(path) = &out_path {
+        println!("wrote {path}");
+    }
     if failures > 0 {
         eprintln!("[run_all] {failures} failure(s); exiting nonzero");
         std::process::exit(1);

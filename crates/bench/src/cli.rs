@@ -38,7 +38,8 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
                   path); exit 2 when any property is violated
   --trace-dir DIR run sweep cells with the observability layer enabled and
                   write per-cell timeseries.json + obs.jsonl under DIR
-  output.md       report path (default: EXPERIMENTS.md)";
+  output.md       report path (default: EXPERIMENTS.md; a --filter run
+                  with no path prints its sections to stdout)";
 
 /// Parsed `run_all` arguments.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -60,7 +61,8 @@ pub struct RunAllArgs {
     /// Persistent result-store path; `None` falls back to the config
     /// file's `store.path`, and without one the store is off.
     pub store: Option<String>,
-    /// Report output path; `None` means `EXPERIMENTS.md`.
+    /// Report output path; `None` means `EXPERIMENTS.md`, or stdout for
+    /// a `--filter` run.
     pub out_path: Option<String>,
 }
 

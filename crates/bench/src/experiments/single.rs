@@ -129,19 +129,12 @@ pub fn sec4_contention(lab: &Lab) -> String {
     let mut t = Table::new(vec![
         "bench",
         "pf latency alone (stream)",
-        "pf latency alone (CDP)",
         "pf latency hybrid",
         "increase",
     ]);
     let mut increases = Vec::new();
     for name in POINTER_BENCHES {
         let stream = lab.run(name, SystemKind::StreamOnly);
-        // "CDP alone" approximated as the hybrid's CDP with a stream
-        // prefetcher that cannot act: use the GHB-free CDP config by
-        // running stream+CDP and stream-only and isolating: the cleanest
-        // alone-CDP is the hybrid minus stream, which the SystemKind set
-        // does not include — so we report stream-alone, CDP-in-hybrid and
-        // hybrid-total instead.
         let hybrid = lab.run(name, SystemKind::StreamCdp);
         let alone_stream = stream.prefetch_service.mean();
         let hybrid_lat = hybrid.prefetch_service.mean();
@@ -151,7 +144,6 @@ pub fn sec4_contention(lab: &Lab) -> String {
         t.row(vec![
             name.to_string(),
             format!("{alone_stream:.0}"),
-            "-".to_string(),
             format!("{hybrid_lat:.0}"),
             if alone_stream > 0.0 {
                 f2(hybrid_lat / alone_stream)

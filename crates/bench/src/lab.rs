@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use ecdp::profile::{profile_workload, PgProfile};
 use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind, SystemRun};
+use sim_core::frame::atomic_write;
 use sim_core::{DiagnosticSnapshot, ObsConfig, RunStats, RunTrace, SimError, Snapshot, Trace};
 use workloads::{registry, InputSet, StreamSource};
 
@@ -192,17 +193,6 @@ fn load_checkpoint(path: &Path, fault: Option<FaultAction>) -> CheckpointLoad {
         Ok(s) => CheckpointLoad::Loaded(Box::new(s)),
         Err(e) => CheckpointLoad::Rejected(e.to_string()),
     }
-}
-
-/// Atomic write (temp file + rename) so a concurrent reader never sees
-/// a half-written checkpoint.
-fn write_checkpoint(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Sleeps `ms` (the injected [`FaultAction::Slow`] delay) in short
@@ -634,7 +624,7 @@ impl Lab {
         // Cold run, (re-)capturing the checkpoint for the next process.
         let run = t.run(build().warm_checkpoint(cp.warm_cycles))?;
         match &run.snapshot {
-            Some(snap) => match write_checkpoint(&path, &snap.to_bytes()) {
+            Some(snap) => match atomic_write(&path, snap.to_bytes()) {
                 Ok(()) => {
                     status.get_or_insert_with(|| "created".to_string());
                 }
@@ -674,12 +664,6 @@ impl Lab {
     pub fn speedup(&self, name: &str, kind: SystemKind) -> f64 {
         let base = self.run(name, SystemKind::StreamOnly).ipc();
         self.run(name, kind).ipc() / base
-    }
-
-    /// BPKI ratio of `kind` versus the stream-only baseline.
-    pub fn bpki_ratio(&self, name: &str, kind: SystemKind) -> f64 {
-        let base = self.run(name, SystemKind::StreamOnly).bpki();
-        self.run(name, kind).bpki() / base.max(1e-9)
     }
 
     /// The [`RunRecord`] of one cached run, if it has been executed.

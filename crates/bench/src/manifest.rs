@@ -45,6 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 use ecdp::system::SystemKind;
+use sim_core::frame::atomic_write;
 use sim_core::{Json, MachineConfig, RunStats, StatsSummary};
 use workloads::InputSet;
 
@@ -533,28 +534,18 @@ impl Manifest {
     /// relative to the current directory.
     pub const DEFAULT_DIR: &'static str = "target/lab";
 
-    /// Atomically writes the manifest to `<dir>/<name>.json` and returns
+    /// Atomically writes the manifest to `<dir>/<name>.json` through
+    /// [`atomic_write`], so a crash mid-write never leaves a truncated
+    /// manifest (the previous version, if any, survives), and returns
     /// the path.
-    ///
-    /// The content is first written to a temp file in the same directory
-    /// and then renamed into place, so a crash mid-write never leaves a
-    /// truncated manifest (the previous version, if any, survives).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        let tmp = dir.join(format!(".{}.json.tmp-{}", self.name, std::process::id()));
-        std::fs::write(&tmp, self.to_json().to_string_pretty())?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        atomic_write(&path, self.to_json().to_string_pretty())?;
+        Ok(path)
     }
 }
 

@@ -17,7 +17,8 @@
 //!
 //! # Wire format
 //!
-//! The framing follows the `sim_core::snapshot` ECDPSNAP precedent:
+//! The file header is the `sim_core::frame` [`Header`] [`STORE_HEADER`];
+//! only the record frame and its resync scan are this module's own:
 //!
 //! ```text
 //! file   := header record*
@@ -46,8 +47,8 @@
 //!   the whole file aside as `<name>.quarantined` and starts fresh.
 //!
 //! Any recovery event triggers a *heal*: the surviving records are
-//! rewritten through a temp-file + rename commit, so the next open sees
-//! a clean log.
+//! rewritten through `sim_core::frame::atomic_write`, so the next open
+//! sees a clean log.
 //!
 //! # Degradation
 //!
@@ -72,22 +73,21 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use sim_core::snapshot::crc32;
+use sim_core::frame::{atomic_write, crc32, FrameReader, FrameWriter, Header};
 use sim_core::Json;
 
 use crate::fault::FaultAction;
 use crate::manifest::{config_hash, workload_provenance, RunRecord};
 use crate::sweep::SweepCell;
 
-/// Leading magic of every store file.
-pub const STORE_MAGIC: [u8; 8] = *b"ECDPRSLT";
-
-/// Container version: bumped when the framing itself changes.
-pub const STORE_VERSION: u32 = 1;
-
-/// Payload schema version: bumped when the record JSON shape changes
+/// The ECDPRSLT file header. The version is bumped when the framing
+/// itself changes, the schema when the record JSON shape changes
 /// incompatibly.
-pub const STORE_SCHEMA: u32 = 1;
+pub const STORE_HEADER: Header = Header {
+    magic: *b"ECDPRSLT",
+    version: 1,
+    schema: Some(1),
+};
 
 /// Per-record frame magic. Every byte is ≥ 0x80 so the resync scan can
 /// never match inside an ASCII JSON payload.
@@ -95,9 +95,6 @@ pub const RECORD_MAGIC: u32 = u32::from_le_bytes([0xEC, 0xD9, 0xBE, 0xA7]);
 
 /// Sanity bound on a single payload; anything larger is corruption.
 const MAX_PAYLOAD: u32 = 1 << 24;
-
-/// Bytes of file header (magic + version + schema).
-const HEADER_LEN: usize = 16;
 
 /// Bytes of record framing before the payload.
 const FRAME_LEN: usize = 12;
@@ -272,26 +269,12 @@ pub struct ResultStore {
 
 fn frame(record: &RunRecord) -> Vec<u8> {
     let payload = record.to_json().to_string_compact().into_bytes();
-    let mut buf = Vec::with_capacity(FRAME_LEN + payload.len());
-    buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    buf
-}
-
-fn header() -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..8].copy_from_slice(&STORE_MAGIC);
-    h[8..12].copy_from_slice(&STORE_VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&STORE_SCHEMA.to_le_bytes());
-    h
-}
-
-fn u32_at(bytes: &[u8], off: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[off..off + 4]);
-    u32::from_le_bytes(b)
+    let mut w = FrameWriter::new();
+    w.u32(RECORD_MAGIC);
+    w.u32(payload.len() as u32);
+    w.u32(crc32(&payload));
+    w.raw(&payload);
+    w.into_bytes()
 }
 
 /// Scans `bytes` from `from` for the next record magic; `None` when the
@@ -306,25 +289,29 @@ fn resync(bytes: &[u8], from: usize) -> Option<usize> {
 fn scan_records(bytes: &[u8]) -> (Vec<RunRecord>, Vec<RecoveryEvent>) {
     let mut records = Vec::new();
     let mut events = Vec::new();
-    let mut off = HEADER_LEN;
+    let mut off = STORE_HEADER.encoded_len();
     while off < bytes.len() {
-        // A frame header that does not fit is a torn tail.
-        if bytes.len() - off < FRAME_LEN {
+        let mut r = FrameReader::new(&bytes[off..]);
+        let (Ok(magic), Ok(len), Ok(crc)) = (r.u32(), r.u32(), r.u32()) else {
+            // A frame header that does not fit is a torn tail.
             events.push(RecoveryEvent::TailTruncated {
                 offset: off as u64,
                 bytes: (bytes.len() - off) as u64,
             });
             break;
-        }
-        let reason = if u32_at(bytes, off) != RECORD_MAGIC {
-            Some("bad record magic")
-        } else if u32_at(bytes, off + 4) > MAX_PAYLOAD {
-            Some("implausible payload length")
-        } else {
-            None
         };
-        if let Some(reason) = reason {
-            match resync(bytes, off + 1) {
+        // A payload running past EOF is a short write when a later frame
+        // start exists (real data follows), else a genuine torn tail.
+        let payload = if magic != RECORD_MAGIC {
+            Err("bad record magic")
+        } else if len > MAX_PAYLOAD {
+            Err("implausible payload length")
+        } else {
+            r.take(len as usize).map_err(|_| "truncated payload")
+        };
+        let payload = match payload {
+            Ok(payload) => payload,
+            Err(reason) => match resync(bytes, off + 1) {
                 Some(next) => {
                     events.push(RecoveryEvent::RecordQuarantined {
                         offset: off as u64,
@@ -341,35 +328,9 @@ fn scan_records(bytes: &[u8]) -> (Vec<RunRecord>, Vec<RecoveryEvent>) {
                     });
                     break;
                 }
-            }
-        }
-        let len = u32_at(bytes, off + 4) as usize;
-        let end = off + FRAME_LEN + len;
-        if end > bytes.len() {
-            // The payload runs past EOF. If a later frame start exists the
-            // record was short-written and real data follows — quarantine
-            // and resync; otherwise it is a genuine torn tail.
-            match resync(bytes, off + 1) {
-                Some(next) => {
-                    events.push(RecoveryEvent::RecordQuarantined {
-                        offset: off as u64,
-                        bytes: (next - off) as u64,
-                        reason: "truncated payload".to_string(),
-                    });
-                    off = next;
-                }
-                None => {
-                    events.push(RecoveryEvent::TailTruncated {
-                        offset: off as u64,
-                        bytes: (bytes.len() - off) as u64,
-                    });
-                    break;
-                }
-            }
-            continue;
-        }
-        let payload = &bytes[off + FRAME_LEN..end];
-        let valid = crc32(payload) == u32_at(bytes, off + 8);
+            },
+        };
+        let valid = crc32(payload) == crc;
         let parsed = if valid {
             std::str::from_utf8(payload)
                 .ok()
@@ -382,7 +343,7 @@ fn scan_records(bytes: &[u8]) -> (Vec<RunRecord>, Vec<RecoveryEvent>) {
         match parsed {
             Some(r) => {
                 records.push(r);
-                off = end;
+                off += FRAME_LEN + payload.len();
             }
             None => {
                 let reason = if valid {
@@ -405,23 +366,12 @@ fn scan_records(bytes: &[u8]) -> (Vec<RunRecord>, Vec<RecoveryEvent>) {
 
 /// Atomically replaces `path` with a fresh log of `records`.
 fn rewrite(path: &Path, records: &[&RunRecord]) -> std::io::Result<u64> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut bytes: Vec<u8> = header().to_vec();
+    let mut bytes = STORE_HEADER.to_bytes();
     for r in records {
         bytes.extend_from_slice(&frame(r));
     }
-    let written = bytes.len() as u64;
-    std::fs::write(&tmp, &bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(written),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    atomic_write(path, &bytes)?;
+    Ok(bytes.len() as u64)
 }
 
 impl ResultStore {
@@ -442,12 +392,16 @@ impl ResultStore {
                 None
             }
         };
-        if let Some(bytes) = bytes {
-            let header_ok = bytes.len() >= HEADER_LEN
-                && bytes[..8] == STORE_MAGIC
-                && u32_at(&bytes, 8) == STORE_VERSION
-                && u32_at(&bytes, 12) == STORE_SCHEMA;
-            if header_ok {
+        if let Some(bytes) = bytes.filter(|b| !b.is_empty()) {
+            // An empty file is a store that was opened but never
+            // appended to; it is treated as fresh.
+            if let Err(e) = STORE_HEADER.check(&mut FrameReader::new(&bytes)) {
+                recovery.events.push(RecoveryEvent::HeaderRejected {
+                    reason: format!("file header: {e}"),
+                });
+                // Preserve the evidence, then start fresh.
+                let _ = std::fs::rename(&path, path.with_extension("quarantined"));
+            } else {
                 let (records, events) = scan_records(&bytes);
                 recovery.records_loaded = records.len();
                 recovery.events = events;
@@ -456,24 +410,6 @@ impl ResultStore {
                     // log: re-appends after a heal come last).
                     entries.insert(CellKey::of(&r), r);
                 }
-            } else if bytes.is_empty() {
-                // An empty file is a store that was opened but never
-                // appended to; treat as fresh.
-            } else {
-                let reason = if bytes.len() < HEADER_LEN || bytes[..8] != STORE_MAGIC {
-                    "bad file magic".to_string()
-                } else {
-                    format!(
-                        "unknown version/schema {}/{}",
-                        u32_at(&bytes, 8),
-                        u32_at(&bytes, 12)
-                    )
-                };
-                recovery
-                    .events
-                    .push(RecoveryEvent::HeaderRejected { reason });
-                // Preserve the evidence, then start fresh.
-                let _ = std::fs::rename(&path, path.with_extension("quarantined"));
             }
         }
         if !recovery.is_clean() {
@@ -588,7 +524,7 @@ impl ResultStore {
             .append(true)
             .open(&self.path)?;
         if file.metadata()?.len() == 0 {
-            file.write_all(&header())?;
+            file.write_all(&STORE_HEADER.to_bytes())?;
         }
         let buf = frame(record);
         match fault {
@@ -654,8 +590,11 @@ impl ResultStore {
         let inner = self.lock();
         Json::obj([
             ("path", Json::Str(self.path.to_string_lossy().into_owned())),
-            ("version", Json::Num(f64::from(STORE_VERSION))),
-            ("schema", Json::Num(f64::from(STORE_SCHEMA))),
+            ("version", Json::Num(f64::from(STORE_HEADER.version))),
+            (
+                "schema",
+                Json::Num(f64::from(STORE_HEADER.schema.unwrap_or(0))),
+            ),
             ("entries", Json::Num(inner.entries.len() as f64)),
             (
                 "degraded",
@@ -689,10 +628,7 @@ impl ResultStore {
     /// Propagates filesystem errors.
     pub fn write_report(&self) -> std::io::Result<PathBuf> {
         let path = self.report_path();
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(&path, self.status_json().to_string_pretty())?;
+        atomic_write(&path, self.status_json().to_string_pretty())?;
         Ok(path)
     }
 
@@ -840,7 +776,7 @@ mod tests {
         drop(store);
         // Flip a payload byte of the *first* record.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[(HEADER_LEN + FRAME_LEN + first_end) / 2] ^= 0xFF;
+        bytes[(STORE_HEADER.encoded_len() + FRAME_LEN + first_end) / 2] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
         let store = ResultStore::open(&path);

@@ -1,7 +1,9 @@
 //! The report phase of the real `run_all` binary (no `--sweep`, no
 //! `--validate`): a filtered report is identical at any worker count
 //! apart from its timing footer, its manifest lands in the request's
-//! `lab_dir`, and a filter naming no section is a usage error.
+//! `lab_dir`, a filtered run with no output path prints to stdout and
+//! leaves `EXPERIMENTS.md` alone, and a filter naming no section is a
+//! usage error.
 
 #![allow(clippy::unwrap_used)]
 
@@ -78,5 +80,28 @@ fn filter_matching_no_section_exits_2() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("no section matches"), "{stderr}");
     assert!(!out_path.exists(), "no report for a usage error");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn filtered_report_without_a_path_prints_and_keeps_experiments_md() {
+    let dir = scratch("stdout");
+    let sentinel = b"# the full report, not to be replaced by one section\n";
+    std::fs::write(dir.join("EXPERIMENTS.md"), sentinel).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .current_dir(&dir)
+        .args(["--filter", "table 7", "--jobs", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(
+        std::fs::read(dir.join("EXPERIMENTS.md")).unwrap(),
+        sentinel,
+        "a filtered run replaced EXPERIMENTS.md"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("## Table 7 — hardware cost"), "{stdout}");
+    assert!(!stdout.contains("## Figure"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

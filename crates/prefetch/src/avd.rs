@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::{layout, Addr};
 
@@ -138,7 +138,7 @@ impl Prefetcher for AvdPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.tick);
         // Sort by PC for a deterministic blob (LRU stamps are unique).
         let mut entries: Vec<(&u32, &AvdEntry)> = self.table.iter().collect();
@@ -152,11 +152,11 @@ impl Prefetcher for AvdPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.tick = r.u64()?;
         let n = r.u32()? as usize;
         if n > self.config.entries + 1 {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} AVD entries, table holds {}",
                 self.config.entries
             )));

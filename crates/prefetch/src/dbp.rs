@@ -13,8 +13,8 @@
 //! the program — is visible in the reproduction exactly as in the paper.
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::layout;
 
@@ -186,7 +186,7 @@ impl Prefetcher for DependenceBasedPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.tick);
         // Both tables are position-sensitive (PPW scan order, CT
         // swap_remove eviction): store them in order.
@@ -203,11 +203,11 @@ impl Prefetcher for DependenceBasedPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.tick = r.u64()?;
         let n = r.u32()? as usize;
         if n > self.config.ppw_entries {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} PPW entries, window holds {}",
                 self.config.ppw_entries
             )));
@@ -221,7 +221,7 @@ impl Prefetcher for DependenceBasedPrefetcher {
         }
         let n = r.u32()? as usize;
         if n > self.config.ct_entries {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} CT entries, table holds {}",
                 self.config.ct_entries
             )));

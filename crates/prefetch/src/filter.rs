@@ -11,8 +11,8 @@
 //! have been useful this time around.
 
 use sim_core::{
-    Addr, Aggressiveness, DemandAccess, FillEvent, PgTag, PrefetchCtx, Prefetcher, PrefetcherKind,
-    SnapReader, SnapWriter, SnapshotError,
+    Addr, Aggressiveness, DemandAccess, FillEvent, FrameError, FrameReader, FrameWriter, PgTag,
+    PrefetchCtx, Prefetcher, PrefetcherKind,
 };
 use sim_mem::block_of;
 
@@ -152,7 +152,7 @@ impl Prefetcher for PollutionFilteredPrefetcher {
         self.inner.aggressiveness()
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         // Counters are mostly zero: store (slot, value) pairs, then
         // delegate to the wrapped prefetcher in the same stream.
         let filled = self.table.iter().filter(|&&c| c != 0).count();
@@ -166,13 +166,13 @@ impl Prefetcher for PollutionFilteredPrefetcher {
         self.inner.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.table.fill(0);
         let n = r.len_prefix()?;
         for _ in 0..n {
             let slot = r.u32()? as usize;
             if slot >= self.table.len() {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "filter counter slot {slot} out of range"
                 )));
             }

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::{block_of, Addr};
 
@@ -203,7 +203,7 @@ impl Prefetcher for GhbPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.base as u64);
         w.u64(self.history.len() as u64);
         for &a in &self.history {
@@ -221,7 +221,7 @@ impl Prefetcher for GhbPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.base = r.u64()? as usize;
         let n = r.len_prefix()?;
         self.history.clear();

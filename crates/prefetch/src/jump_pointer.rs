@@ -12,8 +12,8 @@
 use std::collections::VecDeque;
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::{block_of, layout, Addr};
 
@@ -143,7 +143,7 @@ impl Prefetcher for JumpPointerPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u32(self.history.len() as u32);
         for &h in &self.history {
             w.u32(h);
@@ -158,10 +158,10 @@ impl Prefetcher for JumpPointerPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         let n = r.u32()? as usize;
         if n > self.config.interval + 1 {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} traversal-window entries, window holds {}",
                 self.config.interval
             )));
@@ -177,7 +177,7 @@ impl Prefetcher for JumpPointerPrefetcher {
         for _ in 0..n {
             let slot = r.u32()? as usize;
             if slot >= self.table.len() {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "jump-pointer slot {slot} out of range"
                 )));
             }

@@ -9,8 +9,8 @@
 //! ECDP called out in the paper.
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::{block_of, Addr};
 
@@ -150,7 +150,7 @@ impl Prefetcher for MarkovPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         match self.last_miss {
             None => w.bool(false),
             Some(a) => {
@@ -172,7 +172,7 @@ impl Prefetcher for MarkovPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.last_miss = if r.bool()? { Some(r.u32()?) } else { None };
         for e in &mut self.table {
             *e = None;
@@ -181,14 +181,14 @@ impl Prefetcher for MarkovPrefetcher {
         for _ in 0..n {
             let slot = r.u32()? as usize;
             if slot >= self.table.len() {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "markov slot {slot} out of range"
                 )));
             }
             let tag = r.u32()?;
             let ways = r.u32()? as usize;
             if ways > self.config.ways {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "markov entry holds {ways} successors, table ways {}",
                     self.config.ways
                 )));

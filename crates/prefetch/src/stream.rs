@@ -10,8 +10,8 @@
 //! aggressiveness level (paper Table 2).
 
 use sim_core::{
-    Addr, Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Addr, Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::{block_of, BLOCK_BYTES};
 
@@ -273,7 +273,7 @@ impl Prefetcher for StreamPrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.tick);
         w.u32(self.streams.len() as u32);
         for s in &self.streams {
@@ -293,11 +293,11 @@ impl Prefetcher for StreamPrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.tick = r.u64()?;
         let n = r.u32()? as usize;
         if n != self.streams.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} streams, this prefetcher tracks {}",
                 self.streams.len()
             )));
@@ -309,7 +309,7 @@ impl Prefetcher for StreamPrefetcher {
                     hits: r.u32()?,
                 },
                 1 => StreamState::Monitoring,
-                t => return Err(SnapshotError::Malformed(format!("stream state tag {t}"))),
+                t => return Err(FrameError::Malformed(format!("stream state tag {t}"))),
             };
             s.dir = r.i64()?;
             s.last_demand = r.u32()?;

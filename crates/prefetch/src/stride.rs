@@ -7,8 +7,8 @@
 use std::collections::HashMap;
 
 use sim_core::{
-    Aggressiveness, DemandAccess, PrefetchCtx, PrefetchRequest, Prefetcher, PrefetcherId,
-    PrefetcherKind, SnapReader, SnapWriter, SnapshotError,
+    Aggressiveness, DemandAccess, FrameError, FrameReader, FrameWriter, PrefetchCtx,
+    PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
 use sim_mem::Addr;
 
@@ -152,7 +152,7 @@ impl Prefetcher for StridePrefetcher {
         self.level
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.tick);
         // Sort by PC for a deterministic blob (LRU stamps are unique, so
         // eviction order does not depend on map iteration order).
@@ -168,11 +168,11 @@ impl Prefetcher for StridePrefetcher {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.tick = r.u64()?;
         let n = r.u32()? as usize;
         if n > self.config.table_entries {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} RPT entries, table holds {}",
                 self.config.table_entries
             )));

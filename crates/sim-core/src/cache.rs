@@ -2,9 +2,9 @@
 //! metadata (the paper's `prefetched-CDP` / `prefetched-stream` bits live in
 //! the metadata attached to each line).
 
+use crate::frame::{FrameError, FrameReader, FrameWriter};
 use crate::prefetcher::PgTag;
 use crate::prefetcher::PrefetcherId;
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use sim_mem::{Addr, BLOCK_BYTES};
 
 /// Geometry and latency of one cache level.
@@ -253,7 +253,7 @@ impl Cache {
     /// Serializes tags, LRU clocks and line metadata (valid lines only).
     /// Geometry is not stored — it is implied by the machine
     /// configuration, which the snapshot layer fingerprints separately.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.tick);
         w.u64(self.evictions);
         w.u32(self.lines.len() as u32);
@@ -275,12 +275,12 @@ impl Cache {
 
     /// Restores state saved by [`Cache::save_state`] into a cache of the
     /// same geometry.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    pub(crate) fn restore_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.tick = r.u64()?;
         self.evictions = r.u64()?;
         let total = r.u32()? as usize;
         if total != self.lines.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot cache has {total} lines, this cache has {}",
                 self.lines.len()
             )));
@@ -290,14 +290,14 @@ impl Cache {
         }
         let n = r.u32()? as usize;
         if n > total {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "{n} valid lines exceed capacity {total}"
             )));
         }
         for _ in 0..n {
             let i = r.u32()? as usize;
             if i >= total {
-                return Err(SnapshotError::Malformed(format!("line index {i}")));
+                return Err(FrameError::Malformed(format!("line index {i}")));
             }
             let tag = r.u32()?;
             let last_used = r.u64()?;
@@ -313,7 +313,7 @@ impl Cache {
     }
 }
 
-fn write_line_state(w: &mut SnapWriter, s: &LineState) {
+fn write_line_state(w: &mut FrameWriter, s: &LineState) {
     w.bool(s.dirty);
     match s.prefetched_by {
         None => w.bool(false),
@@ -333,7 +333,7 @@ fn write_line_state(w: &mut SnapWriter, s: &LineState) {
     w.bool(s.used);
 }
 
-fn read_line_state(r: &mut SnapReader<'_>) -> Result<LineState, SnapshotError> {
+fn read_line_state(r: &mut FrameReader<'_>) -> Result<LineState, FrameError> {
     let dirty = r.bool()?;
     let prefetched_by = if r.bool()? {
         Some(PrefetcherId(r.u8()?))

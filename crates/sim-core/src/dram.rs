@@ -8,7 +8,7 @@
 //! `BPKI` bandwidth metric counts these bus transfers.
 
 use crate::config::{DramConfig, DramScheduling, RowPolicy};
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::frame::{FrameError, FrameReader, FrameWriter};
 use sim_mem::{block_of, Addr};
 
 /// A request queued at the memory controller.
@@ -340,7 +340,7 @@ impl Dram {
     /// requests' bank/row are recomputed at restore from the
     /// configuration the snapshot layer fingerprints.
     pub(crate) fn save_state(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = FrameWriter::new();
         w.u32(self.banks.len() as u32);
         for b in &self.banks {
             w.u64(b.busy_until);
@@ -377,11 +377,11 @@ impl Dram {
 
     /// Restores state saved by [`Dram::save_state`] into a controller of
     /// the same configuration.
-    pub(crate) fn restore_state(&mut self, data: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(data);
+    pub(crate) fn restore_state(&mut self, data: &[u8]) -> Result<(), FrameError> {
+        let mut r = FrameReader::new(data);
         let n = r.u32()? as usize;
         if n != self.banks.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} banks, this controller has {}",
                 self.banks.len()
             )));
@@ -392,7 +392,7 @@ impl Dram {
         }
         let n = r.u32()? as usize;
         if n > self.capacity {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "{n} queued requests exceed buffer capacity {}",
                 self.capacity
             )));
@@ -408,7 +408,7 @@ impl Dram {
         }
         let n = r.u32()? as usize;
         if self.queue.len() + n > self.capacity {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "{n} in-flight requests overflow buffer capacity {}",
                 self.capacity
             )));
@@ -426,7 +426,7 @@ impl Dram {
         self.bus_transfers = r.u64()?;
         let n = r.u32()? as usize;
         if n != self.bus_transfers_by_core.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot tracks {n} cores, this controller has {}",
                 self.bus_transfers_by_core.len()
             )));
@@ -444,7 +444,7 @@ impl Dram {
     }
 }
 
-fn write_request(w: &mut SnapWriter, req: &DramRequest) {
+fn write_request(w: &mut FrameWriter, req: &DramRequest) {
     w.u32(req.block_addr);
     w.bool(req.is_write);
     w.bool(req.is_demand);
@@ -453,7 +453,7 @@ fn write_request(w: &mut SnapWriter, req: &DramRequest) {
     w.u64(req.enqueue_cycle);
 }
 
-fn read_request(r: &mut SnapReader<'_>) -> Result<DramRequest, SnapshotError> {
+fn read_request(r: &mut FrameReader<'_>) -> Result<DramRequest, FrameError> {
     Ok(DramRequest {
         block_addr: r.u32()?,
         is_write: r.bool()?,

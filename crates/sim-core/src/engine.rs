@@ -15,6 +15,7 @@ use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
 use crate::dram::{Dram, DramCompletion, DramRequest};
 use crate::error::{DiagnosticSnapshot, SimError};
+use crate::frame::{config_fingerprint, FrameError, FrameReader, FrameWriter};
 use crate::mshr::MshrFile;
 use crate::multicore::{CoreSetup, MultiRunStats};
 use crate::obs::{
@@ -25,9 +26,7 @@ use crate::prefetcher::{
     AccessKind, Aggressiveness, DemandAccess, FillEvent, PrefetchCtx, PrefetchObserver,
     PrefetchRequest, Prefetcher, PrefetcherId,
 };
-use crate::snapshot::{
-    config_fingerprint, CoreState, PrefetcherState, SnapReader, SnapWriter, Snapshot, SnapshotError,
-};
+use crate::snapshot::{CoreState, PrefetcherState, Snapshot};
 use crate::stats::{PrefetcherStats, RunStats};
 use crate::throttling::{FeedbackCounters, IntervalFeedback, ThrottleDecision, ThrottlePolicy};
 use crate::trace::{OpKind, OpSource, ResidentOps, Trace, TraceOp, NO_DEP};
@@ -1217,7 +1216,7 @@ impl CoreSim {
     /// cursor plus the entries still in the future — and settled entries
     /// restore as 0, which is behaviorally identical.
     fn save_warm(&self, now: u64) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let mut w = FrameWriter::new();
         w.u64(self.next_dispatch as u64);
         w.u32(self.window.len() as u32);
         for e in &self.window {
@@ -1299,7 +1298,7 @@ impl CoreSim {
             None => w.bool(false),
             Some(o) => {
                 w.bool(true);
-                let mut ow = SnapWriter::new();
+                let mut ow = FrameWriter::new();
                 o.save_state(&mut ow);
                 w.bytes(&ow.into_bytes());
             }
@@ -1308,7 +1307,7 @@ impl CoreSim {
             None => w.bool(false),
             Some(v) => {
                 w.bool(true);
-                let mut vw = SnapWriter::new();
+                let mut vw = FrameWriter::new();
                 v.save_state(&mut vw);
                 w.bytes(&vw.into_bytes());
             }
@@ -1322,14 +1321,14 @@ impl CoreSim {
     /// The obs collector / validator blobs are applied only when the
     /// forked machine has the facility installed; a facility enabled on
     /// the fork but absent at capture starts fresh from the fork point.
-    fn restore_warm(&mut self, cs: &CoreState) -> Result<(), SnapshotError> {
+    fn restore_warm(&mut self, cs: &CoreState) -> Result<(), FrameError> {
         // Reuse this core's page-table allocation; pages stay CoW-shared
         // with the snapshot.
         self.mem.clone_from(&cs.mem);
-        let mut r = SnapReader::new(&cs.core);
+        let mut r = FrameReader::new(&cs.core);
         let next_dispatch = r.u64()? as usize;
         if next_dispatch > self.total_ops {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "dispatch cursor {next_dispatch} past trace end {}",
                 self.total_ops
             )));
@@ -1351,7 +1350,7 @@ impl CoreSim {
         self.window_instrs = r.u32()?;
         let total = r.u64()? as usize;
         if total != self.total_ops {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot trace has {total} ops, this trace has {}",
                 self.total_ops
             )));
@@ -1375,12 +1374,12 @@ impl CoreSim {
             let idx = r.u32()? as usize;
             let val = r.u64()?;
             if idx >= next_dispatch {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "unsettled completion index {idx} past dispatch cursor"
                 )));
             }
             if idx < base {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "unsettled completion index {idx} below the window head {base}"
                 )));
             }
@@ -1415,7 +1414,7 @@ impl CoreSim {
             let block_addr = r.u32()?;
             let by = PrefetcherId(r.u8()?);
             if slot >= POLLUTION_FILTER_ENTRIES {
-                return Err(SnapshotError::Malformed(format!("pollution slot {slot}")));
+                return Err(FrameError::Malformed(format!("pollution slot {slot}")));
             }
             self.pollution[slot] = Some(PollutionSlot { block_addr, by });
         }
@@ -1426,7 +1425,7 @@ impl CoreSim {
         }
         let n = r.u32()? as usize;
         if n != self.counters.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} feedback counters, machine has {}",
                 self.counters.len()
             )));
@@ -1439,7 +1438,7 @@ impl CoreSim {
         self.last_interval_evictions = r.u64()?;
         let stats = crate::snapshot::read_run_stats(&mut r)?;
         if stats.prefetchers.len() != self.counters.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot stats cover {} prefetchers, machine has {}",
                 stats.prefetchers.len(),
                 self.counters.len()
@@ -1451,7 +1450,7 @@ impl CoreSim {
         if r.bool()? {
             let blob = r.bytes()?;
             if let Some(o) = self.obs.as_deref_mut() {
-                let mut or = SnapReader::new(&blob);
+                let mut or = FrameReader::new(&blob);
                 o.restore_state(&mut or)?;
                 or.finish()?;
             }
@@ -1459,7 +1458,7 @@ impl CoreSim {
         if r.bool()? {
             let blob = r.bytes()?;
             if let Some(v) = self.validate.as_deref_mut() {
-                let mut vr = SnapReader::new(&blob);
+                let mut vr = FrameReader::new(&blob);
                 v.restore_state(&mut vr)?;
                 vr.finish()?;
             }
@@ -1468,7 +1467,7 @@ impl CoreSim {
     }
 }
 
-fn write_pf_request(w: &mut SnapWriter, req: &PrefetchRequest) {
+fn write_pf_request(w: &mut FrameWriter, req: &PrefetchRequest) {
     w.u32(req.addr);
     w.u8(req.id.0);
     w.u8(req.depth);
@@ -1483,7 +1482,7 @@ fn write_pf_request(w: &mut SnapWriter, req: &PrefetchRequest) {
     w.u32(req.root_pc);
 }
 
-fn read_pf_request(r: &mut SnapReader<'_>) -> Result<PrefetchRequest, SnapshotError> {
+fn read_pf_request(r: &mut FrameReader<'_>) -> Result<PrefetchRequest, FrameError> {
     let addr = r.u32()?;
     let id = PrefetcherId(r.u8()?);
     let depth = r.u8()?;
@@ -1504,7 +1503,7 @@ fn read_pf_request(r: &mut SnapReader<'_>) -> Result<PrefetchRequest, SnapshotEr
     })
 }
 
-fn write_feedback_counters(w: &mut SnapWriter, c: &FeedbackCounters) {
+fn write_feedback_counters(w: &mut FrameWriter, c: &FeedbackCounters) {
     w.f64(c.prefetched);
     w.f64(c.used);
     w.f64(c.timely);
@@ -1521,7 +1520,7 @@ fn write_feedback_counters(w: &mut SnapWriter, c: &FeedbackCounters) {
     w.u64(c.total_pollution);
 }
 
-fn read_feedback_counters(r: &mut SnapReader<'_>) -> Result<FeedbackCounters, SnapshotError> {
+fn read_feedback_counters(r: &mut FrameReader<'_>) -> Result<FeedbackCounters, FrameError> {
     Ok(FeedbackCounters {
         prefetched: r.f64()?,
         used: r.f64()?,
@@ -1547,7 +1546,7 @@ fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec<Prefetcher
     prefetchers
         .iter()
         .map(|p| {
-            let mut w = SnapWriter::new();
+            let mut w = FrameWriter::new();
             p.save_state(&mut w);
             PrefetcherState {
                 name: p.name().to_string(),
@@ -1561,7 +1560,7 @@ fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec<Prefetcher
 /// Captures the throttling policy's state (the level slot is unused for
 /// throttles and stored as a fixed placeholder).
 fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
-    let mut w = SnapWriter::new();
+    let mut w = FrameWriter::new();
     t.save_state(&mut w);
     PrefetcherState {
         name: t.name().to_string(),
@@ -1576,10 +1575,10 @@ fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
 fn restore_prefetcher_states(
     prefetchers: &mut [Box<dyn Prefetcher>],
     states: &[PrefetcherState],
-) -> Result<(), SnapshotError> {
+) -> Result<(), FrameError> {
     for (p, st) in prefetchers.iter_mut().zip(states) {
         p.set_aggressiveness(st.level);
-        let mut r = SnapReader::new(&st.data);
+        let mut r = FrameReader::new(&st.data);
         p.load_state(&mut r)?;
         r.finish()?;
     }
@@ -1590,8 +1589,8 @@ fn restore_prefetcher_states(
 fn restore_throttle_state(
     throttle: &mut dyn ThrottlePolicy,
     state: &PrefetcherState,
-) -> Result<(), SnapshotError> {
-    let mut r = SnapReader::new(&state.data);
+) -> Result<(), FrameError> {
+    let mut r = FrameReader::new(&state.data);
     throttle.load_state(&mut r)?;
     r.finish()
 }
@@ -1763,11 +1762,6 @@ impl Machine {
         self
     }
 
-    /// Removes and returns the observer (to read profiling results back).
-    pub fn take_observer(&mut self) -> Option<Box<dyn PrefetchObserver>> {
-        self.observer.take()
-    }
-
     /// Enables observability collection on every core for subsequent
     /// runs. Pass a config with no classes enabled (the default) to turn
     /// it back off.
@@ -1914,7 +1908,7 @@ impl Machine {
         sims: &mut [CoreSim],
         dram: &mut Dram,
         finished: &mut Vec<Option<RunStats>>,
-    ) -> Result<u64, SnapshotError> {
+    ) -> Result<u64, FrameError> {
         for ((cs, sim), setup) in snap.cores.iter().zip(sims).zip(&mut self.cores) {
             sim.restore_warm(cs)?;
             restore_prefetcher_states(&mut setup.prefetchers, &cs.prefetchers)?;
@@ -2795,12 +2789,12 @@ mod tests {
             self.level
         }
 
-        fn save_state(&self, w: &mut SnapWriter) {
+        fn save_state(&self, w: &mut FrameWriter) {
             w.u32(self.last_block);
             w.u32(self.streak);
         }
 
-        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
             self.last_block = r.u32()?;
             self.streak = r.u32()?;
             Ok(())

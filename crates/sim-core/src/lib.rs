@@ -58,6 +58,7 @@ pub mod config;
 pub mod dram;
 pub mod engine;
 pub mod error;
+pub mod frame;
 pub mod json;
 pub mod mshr;
 pub mod multicore;
@@ -75,6 +76,9 @@ pub use config::{CoreConfig, DramConfig, DramScheduling, MachineConfig, RowPolic
 pub use dram::Dram;
 pub use engine::Machine;
 pub use error::{DiagnosticSnapshot, ErrorClass, SimError};
+pub use frame::{
+    config_fingerprint, fnv1a_update, FrameError, FrameReader, FrameWriter, FNV1A_BASIS,
+};
 pub use json::Json;
 pub use multicore::{CoreSetup, MultiRunStats};
 pub use obs::{
@@ -85,14 +89,11 @@ pub use prefetcher::{
     AccessKind, Aggressiveness, DemandAccess, FillEvent, NullObserver, PgTag, PrefetchCtx,
     PrefetchObserver, PrefetchRequest, Prefetcher, PrefetcherId, PrefetcherKind,
 };
-pub use snapshot::{
-    config_fingerprint, fnv1a_update, SnapReader, SnapWriter, Snapshot, SnapshotError, FNV1A_BASIS,
-    SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA, SNAPSHOT_VERSION,
-};
+pub use snapshot::{Snapshot, SNAPSHOT_HEADER};
 pub use stats::{PrefetcherStats, PrefetcherSummary, RunStats, StatsSummary};
 pub use stream::{
     write_external, ExternalTrace, StreamedOps, XtraceError, XtraceWriter, STREAM_CHUNK_OPS,
-    STREAM_LOOKBACK_OPS, XTRACE_MAGIC, XTRACE_VERSION,
+    STREAM_LOOKBACK_OPS, XTRACE_HEADER,
 };
 pub use throttling::{
     AccuracyClass, DecisionTrace, IntervalFeedback, ThrottleDecision, ThrottlePolicy,

@@ -6,8 +6,8 @@
 //! a block whose prefetch is already in flight *merge* into the entry; such
 //! prefetches are counted as used-but-late.
 
+use crate::frame::{FrameError, FrameReader, FrameWriter};
 use crate::prefetcher::{AccessKind, PgTag, PrefetcherId};
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use sim_mem::Addr;
 
 /// An in-flight last-level-cache miss.
@@ -160,7 +160,7 @@ impl MshrFile {
     /// Serializes every slot in order (slot indices are stored in DRAM
     /// requests, so positions must survive the round trip). The spare
     /// waiter pool is a pure allocation cache and is not captured.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut FrameWriter) {
         w.u32(self.entries.len() as u32);
         for slot in &self.entries {
             match slot {
@@ -193,10 +193,10 @@ impl MshrFile {
 
     /// Restores state saved by [`MshrFile::save_state`] into a file of
     /// the same capacity.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    pub(crate) fn restore_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         let n = r.u32()? as usize;
         if n != self.entries.len() {
-            return Err(SnapshotError::Malformed(format!(
+            return Err(FrameError::Malformed(format!(
                 "snapshot has {n} MSHRs, this file has {}",
                 self.entries.len()
             )));
@@ -222,7 +222,7 @@ impl MshrFile {
             } else {
                 None
             };
-            let num_waiters = r.u32()? as usize;
+            let num_waiters = r.count(4)?;
             let mut waiters = Vec::with_capacity(num_waiters);
             for _ in 0..num_waiters {
                 waiters.push(r.u32()?);
@@ -230,7 +230,7 @@ impl MshrFile {
             let demand_merged = r.bool()?;
             let store_merged = r.bool()?;
             if block_addr == FREE {
-                return Err(SnapshotError::Malformed(format!(
+                return Err(FrameError::Malformed(format!(
                     "MSHR {i} holds the free-slot sentinel as its block"
                 )));
             }
@@ -252,7 +252,7 @@ impl MshrFile {
     }
 }
 
-fn write_access_kind(w: &mut SnapWriter, k: AccessKind) {
+fn write_access_kind(w: &mut FrameWriter, k: AccessKind) {
     match k {
         AccessKind::DemandLoad => w.u8(0),
         AccessKind::DemandStore => w.u8(1),
@@ -263,12 +263,12 @@ fn write_access_kind(w: &mut SnapWriter, k: AccessKind) {
     }
 }
 
-fn read_access_kind(r: &mut SnapReader<'_>) -> Result<AccessKind, SnapshotError> {
+fn read_access_kind(r: &mut FrameReader<'_>) -> Result<AccessKind, FrameError> {
     match r.u8()? {
         0 => Ok(AccessKind::DemandLoad),
         1 => Ok(AccessKind::DemandStore),
         2 => Ok(AccessKind::Prefetch(PrefetcherId(r.u8()?))),
-        t => Err(SnapshotError::Malformed(format!("access kind tag {t}"))),
+        t => Err(FrameError::Malformed(format!("access kind tag {t}"))),
     }
 }
 
@@ -276,6 +276,75 @@ fn read_access_kind(r: &mut SnapReader<'_>) -> Result<AccessKind, SnapshotError>
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Records the largest single allocation the current thread asks for
+    /// (tests run on their own threads, so they do not see each other's).
+    struct Counting;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        LARGEST.with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: defers every call to `System`; the bookkeeping touches only
+    // a const-initialized thread-local `Cell`, which never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    #[test]
+    fn hostile_waiter_count_fails_before_allocating() {
+        // One occupied MSHR whose waiter count claims 2^24 entries (64 MiB
+        // of u32s) while no waiter follows.
+        let mut w = FrameWriter::new();
+        w.u32(1);
+        w.bool(true);
+        w.u32(0x1000);
+        write_access_kind(&mut w, AccessKind::DemandLoad);
+        w.u32(0x400);
+        w.u32(0x1000);
+        w.u8(0);
+        w.bool(false);
+        w.u32(1 << 24);
+        w.bool(false);
+        w.bool(false);
+        let bytes = w.into_bytes();
+        let mut m = MshrFile::new(1);
+        LARGEST.with(|l| l.set(0));
+        let result = m.restore_state(&mut FrameReader::new(&bytes));
+        let largest = LARGEST.with(Cell::get);
+        assert_eq!(result.unwrap_err(), FrameError::Truncated);
+        assert!(
+            largest <= bytes.len() + 64 * 1024,
+            "restore allocated {largest} bytes from a {}-byte input",
+            bytes.len()
+        );
+    }
 
     #[test]
     fn alloc_until_full() {
@@ -319,7 +388,7 @@ mod tests {
             (Some(a), Some(c), Some(b))
         );
 
-        let mut w = SnapWriter::new();
+        let mut w = FrameWriter::new();
         m.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut restored = MshrFile::new(4);
@@ -327,7 +396,7 @@ mod tests {
             .alloc(0x900, AccessKind::DemandLoad, 1, 0x900)
             .unwrap();
         restored
-            .restore_state(&mut SnapReader::new(&bytes))
+            .restore_state(&mut FrameReader::new(&bytes))
             .unwrap();
         assert_eq!(restored.find(0x900), None);
         assert_eq!(restored.find(0x400), Some(b));
@@ -341,7 +410,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_the_free_sentinel_as_a_block() {
-        let mut w = SnapWriter::new();
+        let mut w = FrameWriter::new();
         w.u32(1);
         w.bool(true);
         w.u32(FREE);
@@ -355,7 +424,7 @@ mod tests {
         w.bool(false);
         let bytes = w.into_bytes();
         let mut m = MshrFile::new(1);
-        assert!(m.restore_state(&mut SnapReader::new(&bytes)).is_err());
+        assert!(m.restore_state(&mut FrameReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -502,7 +502,7 @@ impl ObsCollector {
     /// Serializes everything recorded so far plus the delta baselines
     /// (warm-state checkpointing). The configuration is *not* captured —
     /// a forked run keeps its own collector's configuration.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut FrameWriter) {
         w.u64(self.samples.len() as u64);
         for s in &self.samples {
             write_sample(w, s);
@@ -527,7 +527,7 @@ impl ObsCollector {
 
     /// Restores state saved by [`ObsCollector::save_state`], keeping this
     /// collector's configuration.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    pub(crate) fn restore_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         let n = r.len_prefix()?;
         self.samples.clear();
         for _ in 0..n {
@@ -555,9 +555,9 @@ impl ObsCollector {
     }
 }
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::frame::{FrameError, FrameReader, FrameWriter};
 
-fn write_sample(w: &mut SnapWriter, s: &IntervalSample) {
+fn write_sample(w: &mut FrameWriter, s: &IntervalSample) {
     w.u64(s.interval);
     w.u64(s.cycle);
     w.u64(s.retired);
@@ -579,7 +579,7 @@ fn write_sample(w: &mut SnapWriter, s: &IntervalSample) {
     }
 }
 
-fn read_sample(r: &mut SnapReader<'_>) -> Result<IntervalSample, SnapshotError> {
+fn read_sample(r: &mut FrameReader<'_>) -> Result<IntervalSample, FrameError> {
     let mut s = IntervalSample {
         interval: r.u64()?,
         cycle: r.u64()?,
@@ -595,7 +595,7 @@ fn read_sample(r: &mut SnapReader<'_>) -> Result<IntervalSample, SnapshotError> 
     };
     let n = r.u32()? as usize;
     if n > 256 {
-        return Err(SnapshotError::Malformed(format!("{n} prefetcher samples")));
+        return Err(FrameError::Malformed(format!("{n} prefetcher samples")));
     }
     for _ in 0..n {
         s.prefetchers.push(PrefetcherSample {
@@ -610,7 +610,7 @@ fn read_sample(r: &mut SnapReader<'_>) -> Result<IntervalSample, SnapshotError> 
     Ok(s)
 }
 
-fn write_transition(w: &mut SnapWriter, t: &ThrottleTransition) {
+fn write_transition(w: &mut FrameWriter, t: &ThrottleTransition) {
     w.u64(t.interval);
     w.u8(t.prefetcher);
     w.u8(t.case);
@@ -626,7 +626,7 @@ fn write_transition(w: &mut SnapWriter, t: &ThrottleTransition) {
     w.aggressiveness(t.to_level);
 }
 
-fn read_transition(r: &mut SnapReader<'_>) -> Result<ThrottleTransition, SnapshotError> {
+fn read_transition(r: &mut FrameReader<'_>) -> Result<ThrottleTransition, FrameError> {
     Ok(ThrottleTransition {
         interval: r.u64()?,
         prefetcher: r.u8()?,
@@ -638,14 +638,14 @@ fn read_transition(r: &mut SnapReader<'_>) -> Result<ThrottleTransition, Snapsho
             0 => ThrottleDecision::Up,
             1 => ThrottleDecision::Down,
             2 => ThrottleDecision::Keep,
-            t => return Err(SnapshotError::Malformed(format!("decision tag {t}"))),
+            t => return Err(FrameError::Malformed(format!("decision tag {t}"))),
         },
         from_level: r.aggressiveness()?,
         to_level: r.aggressiveness()?,
     })
 }
 
-fn write_lifecycle(w: &mut SnapWriter, e: &LifecycleEvent) {
+fn write_lifecycle(w: &mut FrameWriter, e: &LifecycleEvent) {
     w.u64(e.cycle);
     w.u8(match e.stage {
         LifecycleStage::Issued => 0,
@@ -658,7 +658,7 @@ fn write_lifecycle(w: &mut SnapWriter, e: &LifecycleEvent) {
     w.bool(e.late);
 }
 
-fn read_lifecycle(r: &mut SnapReader<'_>) -> Result<LifecycleEvent, SnapshotError> {
+fn read_lifecycle(r: &mut FrameReader<'_>) -> Result<LifecycleEvent, FrameError> {
     Ok(LifecycleEvent {
         cycle: r.u64()?,
         stage: match r.u8()? {
@@ -666,7 +666,7 @@ fn read_lifecycle(r: &mut SnapReader<'_>) -> Result<LifecycleEvent, SnapshotErro
             1 => LifecycleStage::Filled,
             2 => LifecycleStage::Used,
             3 => LifecycleStage::Evicted,
-            t => return Err(SnapshotError::Malformed(format!("lifecycle tag {t}"))),
+            t => return Err(FrameError::Malformed(format!("lifecycle tag {t}"))),
         },
         prefetcher: r.u8()?,
         addr: r.u32()?,

@@ -263,19 +263,19 @@ pub trait Prefetcher {
     /// LRU clocks) for a warm-state snapshot. The aggressiveness level is
     /// captured separately by the engine; stateless prefetchers keep the
     /// default no-op.
-    fn save_state(&self, _w: &mut crate::snapshot::SnapWriter) {}
+    fn save_state(&self, _w: &mut crate::frame::FrameWriter) {}
 
     /// Restores state written by [`Prefetcher::save_state`], fully
     /// overwriting any previously learned state.
     ///
     /// # Errors
     ///
-    /// Returns a [`crate::snapshot::SnapshotError`] on a malformed blob;
+    /// Returns a [`crate::frame::FrameError`] on a malformed blob;
     /// the engine surfaces it as a snapshot rejection.
     fn load_state(
         &mut self,
-        _r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
+        _r: &mut crate::frame::FrameReader<'_>,
+    ) -> Result<(), crate::frame::FrameError> {
         Ok(())
     }
 }

@@ -10,11 +10,11 @@
 //! through [`StreamedOps`] — an [`OpSource`] holding only the bounded
 //! span of ops the engine's instruction window can still reference.
 //!
-//! Wire layout (all integers little-endian):
+//! Wire layout (all integers little-endian), behind the
+//! [`crate::frame`] header [`XTRACE_HEADER`]:
 //!
 //! ```text
-//! magic        8 bytes  b"ECDPXTRC"
-//! version      u32      currently 1
+//! header       12 bytes b"ECDPXTRC", version u32 (currently 1), no schema
 //! instructions u64      sum of per-op instruction counts
 //! page_count   u32
 //! pages        page_count × (index u32, 4096 raw bytes)
@@ -34,13 +34,15 @@ use std::path::{Path, PathBuf};
 
 use sim_mem::SimMemory;
 
-use crate::snapshot::{fnv1a_update, FNV1A_BASIS};
+use crate::frame::{fnv1a_update, FrameError, FrameReader, Header, FNV1A_BASIS};
 use crate::trace::{OpKind, OpSource, Trace, TraceOp, NO_DEP};
 
-/// Magic bytes opening every external trace file.
-pub const XTRACE_MAGIC: &[u8; 8] = b"ECDPXTRC";
-/// Current wire version.
-pub const XTRACE_VERSION: u32 = 1;
+/// The `ECDPXTRC` file header: magic and wire version, no schema field.
+pub const XTRACE_HEADER: Header = Header {
+    magic: *b"ECDPXTRC",
+    version: 1,
+    schema: None,
+};
 
 const PAGE_BYTES: usize = 4096;
 const RECORD_BYTES: usize = 18;
@@ -116,21 +118,22 @@ impl<R: Read> HashingReader<R> {
     }
 }
 
-fn decode_record(bytes: &[u8]) -> TraceOp {
-    let kind = match bytes[0] {
+fn decode_record(bytes: &[u8]) -> Result<TraceOp, FrameError> {
+    let mut r = FrameReader::new(bytes);
+    let kind = match r.u8()? {
         0 => OpKind::Load,
         1 => OpKind::Store,
         _ => OpKind::Compute,
     };
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    TraceOp {
-        pc: u32_at(2),
-        addr: u32_at(6),
-        value: u32_at(10),
-        dep: u32_at(14),
+    let lds = r.u8()? != 0;
+    Ok(TraceOp {
+        pc: r.u32()?,
+        addr: r.u32()?,
+        value: r.u32()?,
+        dep: r.u32()?,
         kind,
-        lds: bytes[1] != 0,
-    }
+        lds,
+    })
 }
 
 fn encode_record(op: &TraceOp, out: &mut [u8; RECORD_BYTES]) {
@@ -167,7 +170,8 @@ fn check_record(bytes: &[u8], idx: u64) -> Result<u64, XtraceError> {
     if bytes[1] > 1 {
         return bad(format!("field `lds` is {}, expected 0 or 1", bytes[1]));
     }
-    let op = decode_record(bytes);
+    let op =
+        decode_record(bytes).map_err(|e| XtraceError::Malformed(format!("record {idx}: {e}")))?;
     match op.kind {
         OpKind::Compute => {
             if op.value == 0 {
@@ -233,7 +237,8 @@ impl StreamedOps {
             )
         });
         for rec in bytes.chunks_exact(RECORD_BYTES) {
-            self.buf.push(decode_record(rec));
+            self.buf
+                .push(decode_record(rec).expect("validated at open"));
         }
         self.high_water = self.high_water.max(self.buf.len());
     }
@@ -317,19 +322,11 @@ impl ExternalTrace {
             offset: 0,
         };
 
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != XTRACE_MAGIC {
-            return Err(XtraceError::Malformed(
-                "bad magic (not an ECDPXTRC external trace)".to_string(),
-            ));
-        }
-        let version = r.u32()?;
-        if version != XTRACE_VERSION {
-            return Err(XtraceError::Malformed(format!(
-                "unsupported version {version}, this build reads version {XTRACE_VERSION}"
-            )));
-        }
+        let mut header = [0u8; XTRACE_HEADER.encoded_len()];
+        r.read_exact(&mut header)?;
+        XTRACE_HEADER
+            .check(&mut FrameReader::new(&header))
+            .map_err(|e| XtraceError::Malformed(format!("ECDPXTRC header: {e}")))?;
         let instructions = r.u64()?;
 
         let mut initial_memory = SimMemory::new();
@@ -455,8 +452,8 @@ pub struct XtraceWriter<W: Write + Seek> {
     count_pos: u64,
 }
 
-/// Byte offset of the `instructions` header field.
-const INSTRUCTIONS_POS: u64 = 12;
+/// Byte offset of the `instructions` field, right after the header.
+const INSTRUCTIONS_POS: u64 = XTRACE_HEADER.encoded_len() as u64;
 
 impl<W: Write + Seek> XtraceWriter<W> {
     /// Starts a trace file: header, memory image, placeholder counts.
@@ -466,8 +463,7 @@ impl<W: Write + Seek> XtraceWriter<W> {
     /// Propagates writer I/O errors.
     pub fn new(w: W, initial_memory: &SimMemory) -> io::Result<Self> {
         let mut w = BufWriter::new(w);
-        w.write_all(XTRACE_MAGIC)?;
-        w.write_all(&XTRACE_VERSION.to_le_bytes())?;
+        w.write_all(&XTRACE_HEADER.to_bytes())?;
         w.write_all(&0u64.to_le_bytes())?; // instructions, patched in finish()
         let mut pages: Vec<(u32, [u8; PAGE_BYTES])> = Vec::new();
         for page_idx in initial_memory.resident_page_indices() {
@@ -485,7 +481,7 @@ impl<W: Write + Seek> XtraceWriter<W> {
             w.write_all(&idx.to_le_bytes())?;
             w.write_all(buf)?;
         }
-        let count_pos = 8 + 4 + 8 + 4 + pages.len() as u64 * (4 + PAGE_BYTES as u64);
+        let count_pos = INSTRUCTIONS_POS + 8 + 4 + pages.len() as u64 * (4 + PAGE_BYTES as u64);
         w.write_all(&0u64.to_le_bytes())?; // op_count, patched in finish()
         Ok(XtraceWriter {
             w,

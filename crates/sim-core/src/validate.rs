@@ -217,7 +217,7 @@ impl RuntimeValidator {
     /// Serializes the violations accumulated so far (warm-state
     /// checkpointing). The check configuration is *not* captured — a forked
     /// run keeps its own validator's configuration.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapWriter) {
+    pub(crate) fn save_state(&self, w: &mut crate::frame::FrameWriter) {
         w.u64(self.violations.len() as u64);
         for v in &self.violations {
             w.str(v);
@@ -229,11 +229,11 @@ impl RuntimeValidator {
     /// this validator's configuration.
     pub(crate) fn restore_state(
         &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
+        r: &mut crate::frame::FrameReader<'_>,
+    ) -> Result<(), crate::frame::FrameError> {
         let n = r.len_prefix()?;
         if n > MAX_RECORDED {
-            return Err(crate::snapshot::SnapshotError::Malformed(format!(
+            return Err(crate::frame::FrameError::Malformed(format!(
                 "{n} recorded violations"
             )));
         }

@@ -17,7 +17,7 @@
 //! prefetcher-symmetric and extensible this way).
 
 use sim_core::{
-    DecisionTrace, IntervalFeedback, SnapReader, SnapWriter, SnapshotError, ThrottleDecision,
+    DecisionTrace, FrameError, FrameReader, FrameWriter, IntervalFeedback, ThrottleDecision,
     ThrottlePolicy,
 };
 
@@ -104,7 +104,7 @@ impl ThrottlePolicy for CoordinatedThrottle {
         Some(&self.last_trace)
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         // Thresholds come from construction; only the last interval's
         // decision trace is run state.
         w.u32(self.last_trace.len() as u32);
@@ -114,7 +114,7 @@ impl ThrottlePolicy for CoordinatedThrottle {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         let n = r.u32()? as usize;
         self.last_trace.clear();
         for _ in 0..n {

@@ -17,8 +17,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use sim_core::{
-    Addr, Aggressiveness, DemandAccess, FillEvent, IntervalFeedback, PgTag, PrefetchCtx,
-    Prefetcher, PrefetcherKind, SnapReader, SnapWriter, SnapshotError, ThrottleDecision,
+    Addr, Aggressiveness, DemandAccess, FillEvent, FrameError, FrameReader, FrameWriter,
+    IntervalFeedback, PgTag, PrefetchCtx, Prefetcher, PrefetcherKind, ThrottleDecision,
     ThrottlePolicy,
 };
 
@@ -97,14 +97,14 @@ impl Prefetcher for Switchable {
         self.inner.aggressiveness()
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    fn save_state(&self, w: &mut FrameWriter) {
         // The enable flag is shared with the PabSelector policy, so
         // restoring it here also restores the selector's view.
         w.bool(self.enabled.get());
         self.inner.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+    fn load_state(&mut self, r: &mut FrameReader<'_>) -> Result<(), FrameError> {
         self.enabled.set(r.bool()?);
         self.inner.load_state(r)
     }

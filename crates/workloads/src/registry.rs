@@ -234,14 +234,6 @@ impl Registry {
             .map(|e| e.handle.clone())
     }
 
-    /// Looks a workload up by provenance content hash.
-    pub fn lookup_hash(&self, hash: u64) -> Option<WorkloadHandle> {
-        self.entries
-            .iter()
-            .find(|e| e.handle.provenance_hash() == Some(hash))
-            .map(|e| e.handle.clone())
-    }
-
     /// All registered names, in registration order.
     pub fn names(&self) -> Vec<&'static str> {
         self.entries.iter().map(|e| e.handle.name()).collect()
@@ -337,11 +329,6 @@ fn read() -> RwLockReadGuard<'static, Registry> {
 /// Looks a workload up by name in the global registry.
 pub fn lookup(name: &str) -> Option<WorkloadHandle> {
     read().lookup(name)
-}
-
-/// Looks a workload up by provenance content hash in the global registry.
-pub fn lookup_hash(hash: u64) -> Option<WorkloadHandle> {
-    read().lookup_hash(hash)
 }
 
 /// All names in the global registry, in registration order.
@@ -551,7 +538,6 @@ mod tests {
         r.register(SUITE_LOADED, mk(7)).unwrap();
         assert!(r.register(SUITE_LOADED, mk(8)).is_err());
         assert_eq!(r.suite(SUITE_LOADED).len(), 1);
-        assert_eq!(r.lookup_hash(7).unwrap().name(), "custom");
     }
 
     #[test]
