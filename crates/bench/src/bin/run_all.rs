@@ -51,7 +51,8 @@
 //!
 //! Configuration resolves through one typed [`bench::SweepRequest`]
 //! (the same schema-versioned document `sweepd` accepts over HTTP):
-//! flags override `--config FILE`, and the file overrides the defaults.
+//! [`SweepRequest::resolve`] writes the flags into the `--config FILE`
+//! document, which overrides the defaults, and parses it once.
 //! The resolved request configures everything the run uses — the lab,
 //! the retry policy, the manifest directory, the worker count and the
 //! conformance thresholds; the environment configures nothing. The
@@ -70,10 +71,7 @@ use std::time::Instant;
 
 use bench::cli::{parse_args, Parsed, RunAllArgs, USAGE};
 use bench::experiments::{run_sections, Section, SECTIONS};
-use bench::{
-    Lab, Manifest, ManifestWriter, RequestOverlay, ResultStore, RunOutcome, SweepOptions,
-    SweepRequest,
-};
+use bench::{Lab, Manifest, ManifestWriter, ResultStore, RunOutcome, SweepOptions, SweepRequest};
 use sim_core::frame::atomic_write;
 
 fn fail_usage(msg: &str) -> ! {
@@ -142,14 +140,7 @@ fn main() {
         }
         Err(e) => fail_usage(&e),
     };
-    let flags = RequestOverlay {
-        jobs: args.jobs,
-        store_path: args.store.clone(),
-        workload_files: (!args.workload_files.is_empty()).then(|| args.workload_files.clone()),
-        ..RequestOverlay::default()
-    };
-    let request =
-        SweepRequest::resolve(args.config.as_deref(), flags).unwrap_or_else(|e| fail_usage(&e));
+    let request = SweepRequest::resolve(&args.request).unwrap_or_else(|e| fail_usage(&e));
     if args.validate {
         run_validate(&args, &request);
     }

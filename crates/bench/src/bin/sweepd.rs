@@ -6,10 +6,12 @@
 //!     [--config FILE] [--jobs N] [--store PATH]
 //! ```
 //!
-//! Configuration resolves exactly like `run_all`, through the same
-//! [`SweepRequest::resolve`]: flags override the `--config` file, the
-//! file overrides the defaults, and an unreadable or invalid file exits
-//! 2. The resolved request supplies the worker-pool width (`jobs`), the
+//! Configuration resolves exactly like `run_all`: the same
+//! [`RequestFlags`] parser reads `--config`, `--jobs` and `--store` (an
+//! empty value or `--jobs 0` exits 2), and the same
+//! [`SweepRequest::resolve`] writes the flags over the `--config` file,
+//! which overrides the defaults; an unreadable or invalid file exits 2.
+//! The resolved request supplies the worker-pool width (`jobs`), the
 //! store path, and the shared `Lab`'s fault plan, checkpoint store and
 //! verbosity.
 //!
@@ -32,10 +34,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bench::cli::{flag_value, RequestFlags};
 use bench::httpd::{
     respond_error, respond_json, start_stream, write_event, HttpRequest, HttpServer,
 };
-use bench::{Lab, RequestOverlay, ResultStore, SweepRequest, SweepService};
+use bench::{Lab, ResultStore, SweepRequest, SweepService};
 use sim_core::Json;
 
 const USAGE: &str = "usage: sweepd [--addr HOST:PORT] [--config FILE] [--jobs N] [--store PATH]
@@ -47,7 +50,8 @@ const USAGE: &str = "usage: sweepd [--addr HOST:PORT] [--config FILE] [--jobs N]
                     defaults)
   --jobs N          worker-pool threads (default: jobs from the resolved
                     request, else available parallelism)
-  --store PATH      persistent result store backing dedup across restarts";
+  --store PATH      persistent result store backing dedup across restarts
+                    (default: the file's store.path)";
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("sweepd: {msg}");
@@ -57,34 +61,20 @@ fn fail_usage(msg: &str) -> ! {
 
 struct Args {
     addr: String,
-    config: Option<String>,
-    jobs: Option<usize>,
-    store: Option<String>,
+    request: RequestFlags,
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         addr: "127.0.0.1:7071".to_string(),
-        config: None,
-        jobs: None,
-        store: None,
+        request: RequestFlags::default(),
     };
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
+        if parsed.request.take(&a, &mut args)? {
+            continue;
+        }
         match a.as_str() {
-            "--addr" => parsed.addr = args.next().ok_or("--addr requires a value")?,
-            "--config" => parsed.config = Some(args.next().ok_or("--config requires a value")?),
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs requires a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs value {v:?} is not an integer"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                parsed.jobs = Some(n);
-            }
-            "--store" => parsed.store = Some(args.next().ok_or("--store requires a value")?),
+            "--addr" => parsed.addr = flag_value(&a, &mut args)?,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -198,13 +188,7 @@ fn main() {
         Ok(a) => a,
         Err(e) => fail_usage(&e),
     };
-    let flags = RequestOverlay {
-        jobs: args.jobs,
-        store_path: args.store.clone(),
-        ..RequestOverlay::default()
-    };
-    let request =
-        SweepRequest::resolve(args.config.as_deref(), flags).unwrap_or_else(|e| fail_usage(&e));
+    let request = SweepRequest::resolve(&args.request).unwrap_or_else(|e| fail_usage(&e));
     let store = request.store_path.as_deref().map(|p| {
         let store = Arc::new(ResultStore::open(p));
         let rec = store.recovery();

@@ -1,9 +1,12 @@
-//! Strict command-line parsing for the `run_all` binary.
+//! Strict command-line parsing for the `run_all` and `sweepd` binaries.
 //!
 //! Hand-rolled (the workspace takes no external dependencies) but
 //! deliberately unforgiving: unknown flags, missing or malformed flag
 //! values and duplicate positionals are hard errors with a usage
 //! message, instead of being silently reinterpreted as an output path.
+//! Both binaries read the request flags (`--config`, `--jobs`,
+//! `--store`) through [`RequestFlags::take`], so they apply one set of
+//! checks.
 
 /// Usage line printed on `--help` and on every parse error.
 pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]... [--jobs N]
@@ -41,15 +44,77 @@ pub const USAGE: &str = "usage: run_all [--config FILE] [--workload-file FILE]..
   output.md       report path (default: EXPERIMENTS.md; a --filter run
                   with no path prints its sections to stdout)";
 
+/// The command-line flags that shape the [`crate::SweepRequest`]: the
+/// `--config` document and the flags written over it by
+/// [`crate::SweepRequest::resolve`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RequestFlags {
+    /// Path of a `SweepRequest` JSON document to layer under the flags.
+    pub config: Option<String>,
+    /// Workload files (`.wl`/`.trace`/`.xtrc`) to register, in order
+    /// (`run_all --workload-file`).
+    pub workload_files: Vec<String>,
+    /// Worker threads; `None` leaves the file's `jobs`, else
+    /// [`crate::default_jobs`].
+    pub jobs: Option<usize>,
+    /// Persistent result-store path; `None` leaves the file's
+    /// `store.path`, and without one the store is off.
+    pub store: Option<String>,
+}
+
+impl RequestFlags {
+    /// Consumes the value of `flag` from `args` when `flag` is
+    /// `--config`, `--jobs` or `--store`, and returns whether it was one
+    /// of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description for a missing or empty value and
+    /// for a `--jobs` value that is not an integer of at least 1.
+    pub fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--config" => self.config = Some(flag_value(flag, args)?),
+            "--store" => self.store = Some(flag_value(flag, args)?),
+            "--jobs" => {
+                let v = flag_value(flag, args)?;
+                let n: usize = v
+                    .parse()
+                    .map_err(|_| format!("--jobs value {v:?} is not an integer"))?;
+                if n == 0 {
+                    return Err("--jobs must be at least 1".to_string());
+                }
+                self.jobs = Some(n);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// The next argument as `flag`'s value.
+///
+/// # Errors
+///
+/// Returns a one-line description when the value is missing or empty.
+pub fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    let v = args
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    if v.is_empty() {
+        return Err(format!("{flag} value must be non-empty"));
+    }
+    Ok(v)
+}
+
 /// Parsed `run_all` arguments.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunAllArgs {
-    /// Path of a `SweepRequest` JSON document to layer under the flags.
-    pub config: Option<String>,
-    /// Workload files (`.wl`/`.trace`/`.xtrc`) to register, in order.
-    pub workload_files: Vec<String>,
-    /// Worker threads; `None` means use [`crate::default_jobs`].
-    pub jobs: Option<usize>,
+    /// The request flags, resolved over the `--config` document.
+    pub request: RequestFlags,
     /// Lower-cased section filter.
     pub filter: Option<String>,
     /// Run only the sweep phase.
@@ -58,9 +123,6 @@ pub struct RunAllArgs {
     pub validate: bool,
     /// Directory for per-cell observability artifacts; enables tracing.
     pub trace_dir: Option<String>,
-    /// Persistent result-store path; `None` falls back to the config
-    /// file's `store.path`, and without one the store is off.
-    pub store: Option<String>,
     /// Report output path; `None` means `EXPERIMENTS.md`, or stdout for
     /// a `--filter` run.
     pub out_path: Option<String>,
@@ -88,54 +150,18 @@ where
     let mut parsed = RunAllArgs::default();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
+        if parsed.request.take(&a, &mut args)? {
+            continue;
+        }
         match a.as_str() {
-            "--config" => {
-                let v = args.next().ok_or("--config requires a value")?;
-                if v.is_empty() {
-                    return Err("--config value must be non-empty".to_string());
-                }
-                parsed.config = Some(v);
-            }
-            "--workload-file" => {
-                let v = args.next().ok_or("--workload-file requires a value")?;
-                if v.is_empty() {
-                    return Err("--workload-file value must be non-empty".to_string());
-                }
-                parsed.workload_files.push(v);
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs requires a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs value {v:?} is not an integer"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                parsed.jobs = Some(n);
-            }
-            "--filter" => {
-                let v = args.next().ok_or("--filter requires a value")?;
-                if v.is_empty() {
-                    return Err("--filter value must be non-empty".to_string());
-                }
-                parsed.filter = Some(v.to_lowercase());
-            }
+            "--workload-file" => parsed
+                .request
+                .workload_files
+                .push(flag_value(&a, &mut args)?),
+            "--filter" => parsed.filter = Some(flag_value(&a, &mut args)?.to_lowercase()),
             "--sweep" => parsed.sweep_only = true,
             "--validate" => parsed.validate = true,
-            "--trace-dir" => {
-                let v = args.next().ok_or("--trace-dir requires a value")?;
-                if v.is_empty() {
-                    return Err("--trace-dir value must be non-empty".to_string());
-                }
-                parsed.trace_dir = Some(v);
-            }
-            "--store" => {
-                let v = args.next().ok_or("--store requires a value")?;
-                if v.is_empty() {
-                    return Err("--store value must be non-empty".to_string());
-                }
-                parsed.store = Some(v);
-            }
+            "--trace-dir" => parsed.trace_dir = Some(flag_value(&a, &mut args)?),
             "--help" | "-h" => return Ok(Parsed::Help),
             _ if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
             _ => {
@@ -177,7 +203,10 @@ mod tests {
         assert_eq!(
             p,
             Ok(Parsed::Run(RunAllArgs {
-                jobs: Some(4),
+                request: RequestFlags {
+                    jobs: Some(4),
+                    ..RequestFlags::default()
+                },
                 filter: Some("figure".to_string()),
                 sweep_only: true,
                 trace_dir: Some("target/traces".to_string()),
@@ -196,8 +225,11 @@ mod tests {
         assert_eq!(
             p,
             Ok(Parsed::Run(RunAllArgs {
-                config: Some("req.json".to_string()),
-                jobs: Some(2),
+                request: RequestFlags {
+                    config: Some("req.json".to_string()),
+                    jobs: Some(2),
+                    ..RequestFlags::default()
+                },
                 ..RunAllArgs::default()
             }))
         );
@@ -211,7 +243,10 @@ mod tests {
         assert_eq!(
             p,
             Ok(Parsed::Run(RunAllArgs {
-                workload_files: vec!["a.wl".to_string(), "b.xtrc".to_string()],
+                request: RequestFlags {
+                    workload_files: vec!["a.wl".to_string(), "b.xtrc".to_string()],
+                    ..RequestFlags::default()
+                },
                 ..RunAllArgs::default()
             }))
         );
@@ -233,7 +268,10 @@ mod tests {
         assert_eq!(
             p,
             Ok(Parsed::Run(RunAllArgs {
-                store: Some("target/results.store".to_string()),
+                request: RequestFlags {
+                    store: Some("target/results.store".to_string()),
+                    ..RequestFlags::default()
+                },
                 sweep_only: true,
                 ..RunAllArgs::default()
             }))

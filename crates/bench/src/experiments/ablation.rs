@@ -6,7 +6,7 @@
 
 use ecdp::hints::HintTable;
 use ecdp::profile::profile_workload;
-use ecdp::system::{CompilerArtifacts, SystemKind};
+use ecdp::system::SystemKind;
 use prefetch::{
     AllowAll, CdpConfig, ContentDirectedPrefetcher, GhbConfig, GhbPrefetcher, StreamConfig,
     StreamPrefetcher,
@@ -343,7 +343,6 @@ pub fn profile_quality(lab: &Lab) -> String {
             p_ref.hint_table().len().to_string(),
         ]);
     }
-    let _ = CompilerArtifacts::empty();
     format!(
         "## Ablation — profile stability across inputs\n\n{}\n\
          The hint tables derived from train and ref inputs select essentially the same\n\

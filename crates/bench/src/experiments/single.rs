@@ -4,7 +4,7 @@
 use ecdp::cost::HardwareCost;
 use ecdp::profile::profile_workload;
 use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind};
-use sim_core::MachineConfig;
+use sim_core::{MachineConfig, RunStats};
 use workloads::{registry, InputSet};
 
 use crate::experiments::{gmean_with_without_health, POINTER_BENCHES};
@@ -52,6 +52,16 @@ pub fn fig01(lab: &Lab) -> String {
     )
 }
 
+/// Accuracy of the prefetcher at registration `index`, or `None` when it
+/// issued nothing: such a prefetcher has no accuracy to report (tables
+/// render it `-` and means leave it out).
+fn issued_accuracy(s: &RunStats, index: usize) -> Option<f64> {
+    s.prefetchers
+        .get(index)
+        .filter(|p| p.issued > 0)
+        .map(sim_core::PrefetcherStats::accuracy)
+}
+
 /// Figure 2 + Table 1: the original CDP problem — performance loss and
 /// bandwidth explosion, with per-benchmark CDP accuracy.
 pub fn fig02_tab01(lab: &Lab) -> String {
@@ -72,7 +82,7 @@ pub fn fig02_tab01(lab: &Lab) -> String {
             f2(cdp.ipc() / base.ipc()),
             format!("{:.1}", base.bpki()),
             format!("{:.1}", cdp.bpki()),
-            format!("{:.1}%", cdp.prefetch_accuracy(1) * 100.0),
+            issued_accuracy(&cdp, 1).map_or("-".to_string(), |a| format!("{:.1}%", a * 100.0)),
         ]);
         speed.push((name, cdp.ipc() / base.ipc()));
         bw.push(cdp.bpki() / base.bpki().max(1e-9));
@@ -257,11 +267,11 @@ fn accuracy_coverage_report(lab: &Lab, accuracy: bool) -> String {
         (SystemKind::StreamCdpThrottled, "cdp+thr"),
         (SystemKind::StreamEcdpThrottled, "ecdp+thr"),
     ];
-    let metric = |s: &sim_core::RunStats, pf: usize| -> f64 {
+    let metric = |s: &RunStats, pf: usize| -> Option<f64> {
         if accuracy {
-            s.prefetch_accuracy(pf)
+            issued_accuracy(s, pf)
         } else {
-            s.prefetch_coverage(pf)
+            Some(s.prefetch_coverage(pf))
         }
     };
     let mut headers = vec!["bench".to_string()];
@@ -272,45 +282,54 @@ fn accuracy_coverage_report(lab: &Lab, accuracy: bool) -> String {
         headers.push(format!("stream {l}"));
     }
     let mut t = Table::new(headers);
-    let mut sums = vec![0.0f64; kinds.len() * 2];
+    // Per column: the sum and count of the cells that have a value.
+    let mut sums = vec![(0.0f64, 0usize); kinds.len() * 2];
     for name in POINTER_BENCHES {
         let mut cells = vec![name.to_string()];
-        for (k, (kind, _)) in kinds.iter().enumerate() {
-            let s = lab.run(name, *kind);
-            let v = metric(&s, 1);
-            sums[k] += v;
-            cells.push(f2(v));
-        }
-        for (k, (kind, _)) in kinds.iter().enumerate() {
-            let s = lab.run(name, *kind);
-            let v = metric(&s, 0);
-            sums[kinds.len() + k] += v;
-            cells.push(f2(v));
+        for (col, pf) in [(0, 1), (kinds.len(), 0)] {
+            for (k, (kind, _)) in kinds.iter().enumerate() {
+                let v = metric(&lab.run(name, *kind), pf);
+                if let Some(v) = v {
+                    sums[col + k].0 += v;
+                    sums[col + k].1 += 1;
+                }
+                cells.push(v.map_or("-".to_string(), f2));
+            }
         }
         t.row(cells);
     }
-    let n = POINTER_BENCHES.len() as f64;
+    let means: Vec<String> = sums
+        .iter()
+        .map(|&(sum, n)| {
+            if n == 0 {
+                "-".to_string()
+            } else {
+                format!("{:.2}", sum / n as f64)
+            }
+        })
+        .collect();
     let what = if accuracy { "accuracy" } else { "coverage" };
     let fig = if accuracy { "Figure 8" } else { "Figure 9" };
     let paper_line = if accuracy {
-        "paper: ECDP+throttling improves CDP accuracy by 129% and stream accuracy by 28% over stream+CDP."
+        "paper: ECDP+throttling improves CDP accuracy by 129% and stream accuracy by 28% over stream+CDP.\n\
+         (`-`: the prefetcher issued nothing on that benchmark; means leave such cells out.)"
     } else {
         "paper: ECDP with coordinated throttling slightly reduces average coverage of both prefetchers —\n\
          the price paid for the large accuracy gains."
     };
     format!(
         "## {fig} — prefetcher {what} across configurations\n\n{}\n\
-         means: CDP {what} cdp={:.2} ecdp={:.2} cdp+thr={:.2} ecdp+thr={:.2};\n\
-         stream {what} cdp={:.2} ecdp={:.2} cdp+thr={:.2} ecdp+thr={:.2}\n{paper_line}\n",
+         means: CDP {what} cdp={} ecdp={} cdp+thr={} ecdp+thr={};\n\
+         stream {what} cdp={} ecdp={} cdp+thr={} ecdp+thr={}\n{paper_line}\n",
         t.to_markdown(),
-        sums[0] / n,
-        sums[1] / n,
-        sums[2] / n,
-        sums[3] / n,
-        sums[4] / n,
-        sums[5] / n,
-        sums[6] / n,
-        sums[7] / n,
+        means[0],
+        means[1],
+        means[2],
+        means[3],
+        means[4],
+        means[5],
+        means[6],
+        means[7],
     )
 }
 

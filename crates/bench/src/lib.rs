@@ -34,7 +34,7 @@ pub use lab::{CheckpointConfig, Lab};
 pub use manifest::{
     config_hash, FailureRecord, Manifest, ManifestWriter, RetryInfo, RunOutcome, RunRecord,
 };
-pub use request::{RequestOverlay, SweepRequest, DEFAULT_SYSTEMS, REQUEST_SCHEMA_VERSION};
+pub use request::{SweepRequest, DEFAULT_SYSTEMS, REQUEST_SCHEMA_VERSION};
 pub use service::{JobStatus, SweepService};
 pub use store::{
     AppendDisposition, CellKey, CompactStats, RecoveryEvent, RecoveryReport, ResultStore,

@@ -26,6 +26,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ecdp::system::SystemKind;
+use sim_core::frame::atomic_write;
 use sim_core::{ErrorClass, Json, RunTrace};
 use workloads::InputSet;
 
@@ -389,7 +390,9 @@ fn supervise_cell(lab: &Lab, cell: &SweepCell, opts: &SweepOptions<'_>) -> RunOu
 }
 
 /// Writes one cell's observability artifacts under `dir` and returns the
-/// `(timeseries.json, obs.jsonl)` paths as manifest strings.
+/// `(timeseries.json, obs.jsonl)` paths as manifest strings. Each file is
+/// replaced atomically, so a crash never leaves a torn artifact behind a
+/// manifest path.
 fn write_cell_trace(
     dir: &Path,
     cell: &SweepCell,
@@ -401,9 +404,8 @@ fn write_cell_trace(
         cell.input_label(),
         cell.system.label()
     ));
-    std::fs::create_dir_all(&cell_dir)?;
     let ts_path = cell_dir.join("timeseries.json");
-    std::fs::write(&ts_path, trace.timeseries_json().to_string_pretty())?;
+    atomic_write(&ts_path, trace.timeseries_json().to_string_pretty())?;
     let obs_path = cell_dir.join("obs.jsonl");
     let meta = [
         ("workload", Json::Str(cell.workload.clone())),
@@ -411,7 +413,7 @@ fn write_cell_trace(
         ("system", Json::Str(cell.system.label().to_string())),
         ("config_hash", Json::Str(format!("{:016x}", config_hash()))),
     ];
-    std::fs::write(&obs_path, trace.to_jsonl(&meta))?;
+    atomic_write(&obs_path, trace.to_jsonl(&meta))?;
     Ok((
         ts_path.to_string_lossy().into_owned(),
         obs_path.to_string_lossy().into_owned(),

@@ -24,8 +24,8 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use bench::{
-    FaultPlan, Lab, Manifest, RequestOverlay, ResultStore, RetryInfo, RetryPolicy, RunOutcome,
-    RunRecord, SweepOptions, SweepPlan,
+    FaultPlan, Lab, Manifest, ResultStore, RetryInfo, RetryPolicy, RunOutcome, RunRecord,
+    SweepOptions, SweepPlan, SweepRequest,
 };
 use ecdp::system::SystemKind;
 use rand::rngs::StdRng;
@@ -325,14 +325,14 @@ fn run_all_binary_survives_sigkill_and_heals_to_identical_results() {
     // are sequential, so rewriting the file between them is safe.
     let base_cmd = |lab_dir: &PathBuf, fault_plan: Option<&str>, store_compact: bool| {
         let config = lab_dir.join("request.json");
-        let request = RequestOverlay {
-            workloads: Some(WORKLOADS.map(String::from).to_vec()),
-            input: Some(InputSet::Test),
-            systems: Some(SYSTEMS.to_vec()),
+        let request = SweepRequest {
+            workloads: WORKLOADS.map(String::from).to_vec(),
+            input: InputSet::Test,
+            systems: SYSTEMS.to_vec(),
             lab_dir: Some(lab_dir.display().to_string()),
-            fault_plan: fault_plan.map(String::from),
-            store_compact: Some(store_compact),
-            ..RequestOverlay::default()
+            fault_plan: fault_plan.unwrap_or_default().to_string(),
+            store_compact,
+            ..SweepRequest::default()
         };
         std::fs::write(&config, request.to_json().to_string_pretty()).unwrap();
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));

@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use bench::{
-    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, RequestOverlay, ResultStore,
-    RunOutcome, SweepOptions, SweepPlan,
+    CheckpointConfig, FaultAction, FaultPlan, Lab, Manifest, ResultStore, RunOutcome, SweepOptions,
+    SweepPlan, SweepRequest,
 };
 use ecdp::system::SystemKind;
 use workloads::InputSet;
@@ -161,13 +161,13 @@ fn run_all_binary_survives_faults_and_resumes() {
     let config = lab_dir.join("request.json");
     let store_path = lab_dir.join("results.store");
     let run = |fault_plan: Option<&str>| {
-        let request = RequestOverlay {
-            workloads: Some(WORKLOADS.map(String::from).to_vec()),
-            input: Some(InputSet::Test),
-            systems: Some(SYSTEMS.to_vec()),
+        let request = SweepRequest {
+            workloads: WORKLOADS.map(String::from).to_vec(),
+            input: InputSet::Test,
+            systems: SYSTEMS.to_vec(),
             lab_dir: Some(lab_dir.display().to_string()),
-            fault_plan: fault_plan.map(String::from),
-            ..RequestOverlay::default()
+            fault_plan: fault_plan.unwrap_or_default().to_string(),
+            ..SweepRequest::default()
         };
         std::fs::write(&config, request.to_json().to_string_pretty()).unwrap();
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));

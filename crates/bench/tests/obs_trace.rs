@@ -236,9 +236,9 @@ fn validate_obs_jsonl(text: &str) {
 }
 
 /// Drives the real `run_all` binary with `--trace-dir`: the smoke cell
-/// must emit a schema-valid `obs.jsonl` plus a `timeseries.json`, and
-/// the manifest must record both artifact paths. This is the check the
-/// CI trace job runs.
+/// must emit a schema-valid `obs.jsonl` plus a `timeseries.json` with no
+/// temp file left beside them, and the manifest must record both
+/// artifact paths. This is the check the CI trace job runs.
 #[test]
 fn run_all_trace_dir_emits_schema_valid_artifacts() {
     let base = scratch("cli");
@@ -266,6 +266,13 @@ fn run_all_trace_dir_emits_schema_valid_artifacts() {
     );
 
     let cell = trace_dir.join("mst-test-stream+cdp");
+    // Both artifacts are replaced atomically: no temp file stays beside them.
+    let mut files: Vec<String> = std::fs::read_dir(&cell)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["obs.jsonl", "timeseries.json"]);
     let jsonl = std::fs::read_to_string(cell.join("obs.jsonl")).expect("obs.jsonl written");
     validate_obs_jsonl(&jsonl);
     let ts = Json::parse(&std::fs::read_to_string(cell.join("timeseries.json")).unwrap())

@@ -1,7 +1,8 @@
 //! Configuration-resolution tests against the real `run_all` binary:
 //! `--config` files drive the sweep (including the manifest output
-//! directory), flags override files, unknown fields are usage errors, and
-//! `BENCH_*` environment variables configure nothing.
+//! directory), flags override files, unknown fields are usage errors,
+//! `BENCH_*` environment variables configure nothing, and `sweepd`
+//! rejects the same malformed flags as `run_all`.
 
 #![allow(clippy::unwrap_used)]
 
@@ -135,4 +136,56 @@ fn unknown_config_field_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("jobz"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `sweepd` reads `--config`, `--jobs` and `--store` through the same
+/// checks as `run_all`: an empty value or zero workers is a usage error
+/// (exit 2 with the usage text), never a server that starts without the
+/// setting. The server is killed at a deadline, so a regression fails
+/// instead of hanging.
+#[test]
+fn sweepd_rejects_the_flags_run_all_rejects() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    for flags in [["--store", ""], ["--jobs", "0"], ["--config", ""]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sweepd"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                child.wait().unwrap();
+                panic!("sweepd {flags:?} is still running: it started serving");
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "sweepd {flags:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: sweepd"),
+            "sweepd {flags:?}: {stderr}"
+        );
+
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .arg("--sweep")
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "run_all {flags:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: run_all"),
+            "run_all {flags:?}: {stderr}"
+        );
+    }
 }

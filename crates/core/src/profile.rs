@@ -14,12 +14,12 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use prefetch::{AllowAll, CdpConfig, ContentDirectedPrefetcher, StreamPrefetcher};
 use sim_core::{
-    Addr, Machine, MachineConfig, PgTag, PrefetchObserver, PrefetchRequest, PrefetcherId, Trace,
+    Addr, MachineConfig, PgTag, PrefetchObserver, PrefetchRequest, PrefetcherId, Trace,
 };
 
 use crate::hints::{HintTable, HintVector};
+use crate::system::{SystemBuilder, SystemKind};
 
 /// Outcome counts for one pointer group.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,7 +158,7 @@ impl PgProfile {
 ///
 /// Create with [`PgCollector::new`]; the returned handle shares the
 /// underlying map, so results remain accessible after the collector is
-/// moved into the [`Machine`].
+/// moved into the [`Machine`](sim_core::Machine).
 #[derive(Debug)]
 pub struct PgCollector {
     map: Rc<RefCell<HashMap<PgTag, PgUsage>>>,
@@ -255,21 +255,13 @@ impl PrefetchObserver for InformingCollector {
 /// the simulator-based profiler (in-flight and still-resident prefetches
 /// count as useless).
 pub fn informing_profile(trace: &Trace) -> PgProfile {
-    let mut machine = Machine::new(MachineConfig::default());
-    machine.add_prefetcher(Box::new(StreamPrefetcher::new(
-        PrefetcherId(0),
-        Default::default(),
-    )));
-    machine.add_prefetcher(Box::new(ContentDirectedPrefetcher::new(
-        PrefetcherId(1),
-        CdpConfig::default(),
-        Box::new(AllowAll),
-    )));
     let (collector, handle) = InformingCollector::new();
-    machine.set_observer(Box::new(collector));
     // A wedged profiling run is a simulator bug; surface it as a
     // panic so the experiment harness records the cell as failed.
-    machine.run(trace).expect("profiling run failed");
+    SystemBuilder::new(SystemKind::StreamCdp)
+        .observer(Box::new(collector))
+        .run(trace)
+        .expect("profiling run failed");
     let mut pgs = handle.borrow().clone();
     for u in pgs.values_mut() {
         u.useless = u.issued.saturating_sub(u.useful);
@@ -280,28 +272,18 @@ pub fn informing_profile(trace: &Trace) -> PgProfile {
     }
 }
 
-/// [`profile_workload`] with an explicit machine configuration.
+/// [`profile_workload`] with an explicit machine configuration: the
+/// `stream+cdp` system (stream prefetcher + unfiltered CDP) run through
+/// [`SystemBuilder::run_profiled`], which keeps `oracle_lds` off as that
+/// system requires.
 pub fn profile_workload_with(trace: &Trace, config: MachineConfig) -> PgProfile {
-    let mut machine = Machine::new(config);
-    machine.add_prefetcher(Box::new(StreamPrefetcher::new(
-        PrefetcherId(0),
-        Default::default(),
-    )));
-    machine.add_prefetcher(Box::new(ContentDirectedPrefetcher::new(
-        PrefetcherId(1),
-        CdpConfig::default(),
-        Box::new(AllowAll),
-    )));
-    let (collector, handle) = PgCollector::new();
-    machine.set_observer(Box::new(collector));
     // A wedged profiling run is a simulator bug; surface it as a
     // panic so the experiment harness records the cell as failed.
-    machine.run(trace).expect("profiling run failed");
-    let pgs = handle.borrow().clone();
-    PgProfile {
-        pgs,
-        min_samples: 4,
-    }
+    let (_, profile) = SystemBuilder::new(SystemKind::StreamCdp)
+        .config(config)
+        .run_profiled(trace)
+        .expect("profiling run failed");
+    profile
 }
 
 #[cfg(test)]
