@@ -5,8 +5,12 @@
 //! the path given as the last positional argument. With no path, a full
 //! run writes `EXPERIMENTS.md` (in the current directory) and a
 //! `--filter` run prints its sections to stdout, so a partial report
-//! never replaces the full one. Also writes the run manifest of every
-//! simulated cell to `<lab_dir>/run_all.json` (default `target/lab`).
+//! never replaces the full one. Also writes the run manifest of the
+//! `Lab`'s cells (workload × input × system runs) to
+//! `<lab_dir>/run_all.json` (default `target/lab`). Runs that are not
+//! cells stay out of it: the variant-study runs (ablations, the §6.1.6
+//! ref-profile runs, the Figure 10 profiled runs, the conformance
+//! corners) and the multi-core mixes.
 //!
 //! ```text
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]

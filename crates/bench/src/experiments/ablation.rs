@@ -4,18 +4,9 @@
 //! stated "ongoing work": coordinated throttling across *three*
 //! prefetchers.
 
-use ecdp::hints::HintTable;
-use ecdp::profile::profile_workload;
-use ecdp::system::SystemKind;
-use prefetch::{
-    AllowAll, CdpConfig, ContentDirectedPrefetcher, GhbConfig, GhbPrefetcher, StreamConfig,
-    StreamPrefetcher,
-};
-use sim_core::{
-    Aggressiveness, DramScheduling, Machine, MachineConfig, PrefetcherId, RowPolicy, RunStats,
-    Trace,
-};
-use throttle::CoordinatedThrottle;
+use ecdp::system::{core_setup, CompilerArtifacts, SystemBuilder, SystemKind};
+use prefetch::{CdpConfig, ContentDirectedPrefetcher, GhbConfig, GhbPrefetcher};
+use sim_core::{Aggressiveness, DramScheduling, Machine, MachineConfig, PrefetcherId, RowPolicy};
 use workloads::InputSet;
 
 use crate::table::{f2, Table};
@@ -25,38 +16,38 @@ use crate::Lab;
 /// (covering the CDP-hostile, CDP-friendly and mixed regimes).
 const SWEEP_BENCHES: [&str; 5] = ["mst", "health", "perlbench", "xalancbmk", "pfast"];
 
-fn run_with(
-    trace: &Trace,
-    hints: Option<&HintTable>,
-    compare_bits: u32,
-    fixed_level: Option<Aggressiveness>,
-    throttled: bool,
-    interval: u64,
-) -> RunStats {
-    let cfg = MachineConfig {
-        interval_evictions: interval,
-        ..Default::default()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_prefetcher(Box::new(StreamPrefetcher::new(
-        PrefetcherId(0),
-        StreamConfig::default(),
-    )));
-    let filter: Box<dyn prefetch::ScanFilter> = match hints {
-        Some(h) => Box::new(h.clone()),
-        None => Box::new(AllowAll),
-    };
-    let mut cdp =
-        ContentDirectedPrefetcher::new(PrefetcherId(1), CdpConfig { compare_bits }, filter);
-    if let Some(level) = fixed_level {
-        use sim_core::Prefetcher;
-        cdp.set_aggressiveness(level);
+/// The table of one parameter sweep: a row per [`SWEEP_BENCHES`] workload
+/// and a column per variant (headed by its label), each cell the speedup
+/// over the stream baseline of the machine `machine` assembles for that
+/// workload and variant, run on the workload's ref trace.
+fn sweep_table<V>(
+    lab: &Lab,
+    variants: &[(String, V)],
+    machine: impl Fn(&str, &V) -> Machine,
+) -> String {
+    let mut headers = vec!["bench".to_string()];
+    headers.extend(variants.iter().map(|(label, _)| label.clone()));
+    let mut t = Table::new(headers);
+    for name in SWEEP_BENCHES {
+        let base = lab.run(name, SystemKind::StreamOnly).ipc();
+        let trace = lab.trace(name, InputSet::Ref);
+        let mut cells = vec![name.to_string()];
+        for (_, v) in variants {
+            let stats = machine(name, v).run(&trace).expect("ablation run failed");
+            cells.push(f2(stats.ipc() / base));
+        }
+        t.row(cells);
     }
-    m.add_prefetcher(Box::new(cdp));
-    if throttled {
-        m.set_throttle(Box::new(CoordinatedThrottle::default()));
-    }
-    m.run(trace).expect("ablation run failed")
+    t.to_markdown()
+}
+
+/// The full proposal (stream + ECDP + coordinated throttling) on
+/// `artifacts` and machine configuration `config`.
+fn proposal(artifacts: &CompilerArtifacts, config: MachineConfig) -> Machine {
+    SystemBuilder::new(SystemKind::StreamEcdpThrottled)
+        .artifacts(artifacts)
+        .config(config)
+        .build()
 }
 
 /// The "Ablations and extensions" report section: every study of this
@@ -79,29 +70,25 @@ pub fn ablations(lab: &Lab) -> String {
     report
 }
 
-/// Sweep the CDP compare-bits parameter (paper §5 fixes it at 8 of 32).
+/// Sweep the CDP compare-bits parameter (paper §5 fixes it at 8 of 32):
+/// the full proposal with only its CDP slot rebuilt.
 pub fn compare_bits_sweep(lab: &Lab) -> String {
-    let bits = [4u32, 8, 12, 16];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(bits.iter().map(|b| format!("{b} bits")));
-    let mut t = Table::new(headers);
-    for name in SWEEP_BENCHES {
+    let bits = [4u32, 8, 12, 16].map(|b| (format!("{b} bits"), b));
+    let table = sweep_table(lab, &bits, |name, &compare_bits| {
         let art = lab.artifacts(name);
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let trace = lab.trace(name, InputSet::Ref);
-        let mut cells = vec![name.to_string()];
-        for b in bits {
-            let s = run_with(&trace, Some(&art.hints), b, None, true, 8192);
-            cells.push(f2(s.ipc() / base));
-        }
-        t.row(cells);
-    }
+        let mut setup = core_setup(SystemKind::StreamEcdpThrottled, &art);
+        setup.prefetchers[1] = Box::new(ContentDirectedPrefetcher::new(
+            PrefetcherId(1),
+            CdpConfig { compare_bits },
+            Box::new(art.hints.clone()),
+        ));
+        Machine::with_cores(MachineConfig::default(), vec![setup])
+    });
     format!(
-        "## Ablation — CDP compare bits (speedup of ECDP+throttle vs baseline)\n\n{}\n\
+        "## Ablation — CDP compare bits (speedup of ECDP+throttle vs baseline)\n\n{table}\n\
          The paper fixes 8 compare bits. Fewer bits admit more false pointers; more bits\n\
          reject cross-region pointers. In this address-space layout the heap shares its\n\
-         top byte, so 4–8 behave alike and 16 starts rejecting distant heap pointers.\n",
-        t.to_markdown()
+         top byte, so 4–8 behave alike and 16 starts rejecting distant heap pointers.\n"
     )
 }
 
@@ -109,98 +96,59 @@ pub fn compare_bits_sweep(lab: &Lab) -> String {
 /// (paper Table 2 ties depth 1–4 to the aggressiveness ladder).
 pub fn recursion_depth_sweep(lab: &Lab) -> String {
     let levels = [
-        (Aggressiveness::VeryConservative, "depth 1"),
-        (Aggressiveness::Conservative, "depth 2"),
-        (Aggressiveness::Moderate, "depth 3"),
-        (Aggressiveness::Aggressive, "depth 4"),
-    ];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(levels.iter().map(|(_, l)| l.to_string()));
-    let mut t = Table::new(headers);
-    for name in SWEEP_BENCHES {
-        let art = lab.artifacts(name);
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let trace = lab.trace(name, InputSet::Ref);
-        let mut cells = vec![name.to_string()];
-        for (level, _) in levels {
-            let s = run_with(&trace, Some(&art.hints), 8, Some(level), false, 8192);
-            cells.push(f2(s.ipc() / base));
-        }
-        t.row(cells);
-    }
+        ("depth 1", Aggressiveness::VeryConservative),
+        ("depth 2", Aggressiveness::Conservative),
+        ("depth 3", Aggressiveness::Moderate),
+        ("depth 4", Aggressiveness::Aggressive),
+    ]
+    .map(|(label, level)| (label.to_string(), level));
+    let table = sweep_table(lab, &levels, |name, &level| {
+        let mut m = SystemBuilder::new(SystemKind::StreamEcdp)
+            .artifacts(&lab.artifacts(name))
+            .build();
+        m.set_prefetcher_aggressiveness(1, level);
+        m
+    });
     format!(
-        "## Ablation — fixed CDP recursion depth, unthrottled ECDP\n\n{}\n\
+        "## Ablation — fixed CDP recursion depth, unthrottled ECDP\n\n{table}\n\
          Depth is the CDP aggressiveness knob: chains need depth to sprint ahead of the\n\
          demand stream (health), while junk-heavy expansions want depth 1 (mst) — which\n\
-         is exactly why the paper throttles it dynamically.\n",
-        t.to_markdown()
+         is exactly why the paper throttles it dynamically.\n"
     )
 }
 
 /// Sweep the feedback-sampling interval (paper §4.1 fixes 8192 evictions).
 pub fn interval_sweep(lab: &Lab) -> String {
-    let intervals = [1024u64, 4096, 8192, 32768];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(intervals.iter().map(|i| format!("{i} ev")));
-    let mut t = Table::new(headers);
-    for name in SWEEP_BENCHES {
-        let art = lab.artifacts(name);
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let trace = lab.trace(name, InputSet::Ref);
-        let mut cells = vec![name.to_string()];
-        for i in intervals {
-            let s = run_with(&trace, Some(&art.hints), 8, None, true, i);
-            cells.push(f2(s.ipc() / base));
-        }
-        t.row(cells);
-    }
+    let intervals = [1024u64, 4096, 8192, 32768].map(|i| (format!("{i} ev"), i));
+    let table = sweep_table(lab, &intervals, |name, &interval_evictions| {
+        let config = MachineConfig {
+            interval_evictions,
+            ..Default::default()
+        };
+        proposal(&lab.artifacts(name), config)
+    });
     format!(
-        "## Ablation — feedback sampling interval (ECDP+throttle speedup)\n\n{}\n\
+        "## Ablation — feedback sampling interval (ECDP+throttle speedup)\n\n{table}\n\
          Shorter intervals react faster but on noisier counters; the paper's 8192-eviction\n\
-         interval sits on the flat part of the curve.\n",
-        t.to_markdown()
+         interval sits on the flat part of the curve.\n"
     )
 }
 
 /// Sweep the PG usefulness threshold used to classify beneficial groups
 /// (the paper uses majority, i.e. 50%).
 pub fn hint_threshold_sweep(lab: &Lab) -> String {
-    let thresholds = [0.25f64, 0.5, 0.75];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(thresholds.iter().map(|t| format!(">{:.0}%", t * 100.0)));
-    let mut t = Table::new(headers);
-    for name in SWEEP_BENCHES {
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let profile = lab.profile(name).clone();
-        let trace = lab.trace(name, InputSet::Ref);
-        let mut cells = vec![name.to_string()];
-        for &th in &thresholds {
-            // Rebuild the hint table at a different usefulness bar.
-            let mut table = HintTable::new();
-            let mut vectors: std::collections::HashMap<u32, ecdp::hints::HintVector> =
-                std::collections::HashMap::new();
-            for (pg, u) in &profile.pgs {
-                let resolved = u.useful + u.useless;
-                if resolved >= profile.min_samples && u.usefulness() > th {
-                    let off = i32::from(pg.offset);
-                    if off % 4 == 0 && (-64..=60).contains(&off) {
-                        vectors.entry(pg.pc).or_default().set(off);
-                    }
-                }
-            }
-            for (pc, v) in vectors {
-                table.insert(pc, v);
-            }
-            let s = run_with(&trace, Some(&table), 8, None, true, 8192);
-            cells.push(f2(s.ipc() / base));
-        }
-        t.row(cells);
-    }
+    let thresholds = [0.25f64, 0.5, 0.75].map(|t| (format!(">{:.0}%", t * 100.0), t));
+    let table = sweep_table(lab, &thresholds, |name, &threshold| {
+        let art = CompilerArtifacts {
+            hints: lab.profile(name).hint_table_at(threshold),
+            ..CompilerArtifacts::empty()
+        };
+        proposal(&art, MachineConfig::default())
+    });
     format!(
-        "## Ablation — pointer-group usefulness threshold\n\n{}\n\
+        "## Ablation — pointer-group usefulness threshold\n\n{table}\n\
          The paper classifies a PG as beneficial when the majority (>50%) of its\n\
-         prefetches are useful (footnote 4: lower bars lose performance).\n",
-        t.to_markdown()
+         prefetches are useful (footnote 4: lower bars lose performance).\n"
     )
 }
 
@@ -222,28 +170,16 @@ pub fn three_prefetchers(lab: &Lab) -> String {
         let base = lab.run(name, SystemKind::StreamOnly).ipc();
         let two_r = lab.run(name, SystemKind::StreamEcdpThrottled).ipc() / base;
         let trace = lab.trace(name, InputSet::Ref);
-        let run3 = |throttled: bool| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.add_prefetcher(Box::new(StreamPrefetcher::new(
-                PrefetcherId(0),
-                StreamConfig::default(),
-            )));
-            m.add_prefetcher(Box::new(ContentDirectedPrefetcher::new(
-                PrefetcherId(1),
-                CdpConfig::default(),
-                Box::new(art.hints.clone()),
-            )));
+        let run3 = |kind| {
+            let mut m = SystemBuilder::new(kind).artifacts(&art).build();
             m.add_prefetcher(Box::new(GhbPrefetcher::new(
                 PrefetcherId(2),
                 GhbConfig::default(),
             )));
-            if throttled {
-                m.set_throttle(Box::new(CoordinatedThrottle::default()));
-            }
             m.run(&trace).expect("ablation run failed").ipc() / base
         };
-        let raw = run3(false);
-        let thr = run3(true);
+        let raw = run3(SystemKind::StreamEcdp);
+        let thr = run3(SystemKind::StreamEcdpThrottled);
         two.push(two_r);
         three_raw.push(raw);
         three_thr.push(thr);
@@ -282,43 +218,21 @@ pub fn dram_policy_sweep(lab: &Lab) -> String {
             RowPolicy::ClosedPage,
         ),
     ];
-    let mut headers = vec!["bench".to_string()];
-    headers.extend(configs.iter().map(|(l, _, _)| l.to_string()));
-    let mut t = Table::new(headers);
-    for name in SWEEP_BENCHES {
-        let art = lab.artifacts(name);
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let trace = lab.trace(name, InputSet::Ref);
-        let mut cells = vec![name.to_string()];
-        for (_, sched, row) in configs {
-            let mut cfg = MachineConfig::default();
-            cfg.dram.scheduling = sched;
-            cfg.dram.row_policy = row;
-            let mut m = Machine::new(cfg);
-            m.add_prefetcher(Box::new(StreamPrefetcher::new(
-                PrefetcherId(0),
-                StreamConfig::default(),
-            )));
-            m.add_prefetcher(Box::new(ContentDirectedPrefetcher::new(
-                PrefetcherId(1),
-                CdpConfig::default(),
-                Box::new(art.hints.clone()),
-            )));
-            m.set_throttle(Box::new(CoordinatedThrottle::default()));
-            cells.push(f2(m.run(&trace).expect("ablation run failed").ipc() / base));
-        }
-        t.row(cells);
-    }
+    let configs = configs.map(|(label, scheduling, row_policy)| {
+        let mut config = MachineConfig::default();
+        config.dram.scheduling = scheduling;
+        config.dram.row_policy = row_policy;
+        (label.to_string(), config)
+    });
+    let table = sweep_table(lab, &configs, |name, config| {
+        proposal(&lab.artifacts(name), config.clone())
+    });
     format!(
-        "## Ablation — DRAM scheduling and row-buffer policy (ECDP+throttle speedup)
-
-{}
-         Demand-first prioritisation is what keeps useless prefetches from delaying
-         demand misses at the banks; without it (plain FR-FCFS/FCFS) prefetch-heavy
-         benchmarks lose ground, and closed-page forfeits the row locality the
-         streaming sweeps rely on.
-",
-        t.to_markdown()
+        "## Ablation — DRAM scheduling and row-buffer policy (ECDP+throttle speedup)\n\n{table}\n\
+         Demand-first prioritisation is what keeps useless prefetches from delaying\n\
+         demand misses at the banks; without it (plain FR-FCFS/FCFS) prefetch-heavy\n\
+         benchmarks lose ground, and closed-page forfeits the row locality the\n\
+         streaming sweeps rely on.\n"
     )
 }
 
@@ -332,10 +246,9 @@ pub fn profile_quality(lab: &Lab) -> String {
         "hints (ref)",
     ]);
     for name in SWEEP_BENCHES {
-        let p_train = lab.profile(name).clone();
+        let p_train = lab.profile(name);
         let (b, h) = p_train.counts();
-        let ref_trace = lab.trace(name, InputSet::Ref);
-        let p_ref = profile_workload(&ref_trace);
+        let p_ref = lab.profile_on(name, InputSet::Ref);
         t.row(vec![
             name.to_string(),
             p_train.hint_table().len().to_string(),

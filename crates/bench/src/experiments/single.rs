@@ -2,10 +2,9 @@
 //! plus the §4 contention measurement and the §6.1.6 profiling-input study.
 
 use ecdp::cost::HardwareCost;
-use ecdp::profile::profile_workload;
 use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind};
 use sim_core::{MachineConfig, RunStats};
-use workloads::{registry, InputSet};
+use workloads::InputSet;
 
 use crate::experiments::{gmean_with_without_health, POINTER_BENCHES};
 use crate::table::{f2, f3, pct, Table};
@@ -403,15 +402,11 @@ pub fn sec616(lab: &Lab) -> String {
     for name in POINTER_BENCHES {
         let base = lab.run(name, SystemKind::StreamOnly).ipc();
         let with_train = lab.run(name, SystemKind::StreamEcdpThrottled).ipc() / base;
-        // Re-profile on the ref input (the "same input" experiment).
-        let ref_trace = registry::lookup(name)
-            .expect("known workload")
-            .generate(InputSet::Ref);
-        let ref_profile = profile_workload(&ref_trace);
-        let ref_art = CompilerArtifacts::from_profile(&ref_profile);
+        // Profile on the ref input (the "same input" experiment).
+        let ref_art = CompilerArtifacts::from_profile(&lab.profile_on(name, InputSet::Ref));
         let with_ref = SystemBuilder::new(SystemKind::StreamEcdpThrottled)
             .artifacts(&ref_art)
-            .run(&ref_trace)
+            .run(&lab.trace(name, InputSet::Ref))
             .expect("run failed")
             .stats
             .ipc()

@@ -1,6 +1,6 @@
 //! Thread-safe caching layer for experiment composition.
 //!
-//! A [`Lab`] memoizes workload traces, train-input profiles, compiler
+//! A [`Lab`] memoizes workload traces, per-input profiles, compiler
 //! artifacts and single-core run results behind compute-once cells, so
 //! each is computed **exactly once per process** no matter how many
 //! figures request it or how many worker threads run concurrently
@@ -265,7 +265,7 @@ impl CellInput {
 
 struct LabShared {
     traces: OnceMap<(String, InputSet), Arc<Trace>>,
-    profiles: OnceMap<String, Arc<PgProfile>>,
+    profiles: OnceMap<(String, InputSet), Arc<PgProfile>>,
     artifacts: OnceMap<String, Arc<CompilerArtifacts>>,
     runs: OnceMap<(String, InputSet, SystemKind), RunEntry>,
     /// Observability traces of runs executed with [`Lab::try_run_traced`].
@@ -369,13 +369,19 @@ impl Lab {
     }
 
     /// The (cached) pointer-group profile from the workload's train
-    /// input; profiled at most once per process.
+    /// input — the profile the compiler artifacts derive from.
     pub fn profile(&self, name: &str) -> Arc<PgProfile> {
-        let key = name.to_string();
+        self.profile_on(name, InputSet::Train)
+    }
+
+    /// The (cached) pointer-group profile of one of the workload's
+    /// inputs; profiled at most once per process.
+    pub fn profile_on(&self, name: &str, input: InputSet) -> Arc<PgProfile> {
+        let key = (name.to_string(), input);
         self.shared.profiles.get_or_init(&key, || {
-            let t = self.trace(name, InputSet::Train);
+            let t = self.trace(name, input);
             if self.shared.verbose {
-                eprintln!("[lab] profiling {name}");
+                eprintln!("[lab] profiling {name} {input:?}");
             }
             Arc::new(profile_workload(&t))
         })
@@ -756,6 +762,14 @@ mod tests {
         assert_eq!(map.get(&1), None);
         assert_eq!(map.get_or_try_init::<&str>(&1, || Ok(5)), Ok(5));
         assert_eq!(map.get(&1), Some(5));
+    }
+
+    #[test]
+    fn train_profile_is_the_train_entry_of_the_profile_cache() {
+        let lab = Lab::new();
+        let train = lab.profile("mst");
+        assert!(Arc::ptr_eq(&train, &lab.profile_on("mst", InputSet::Train)));
+        assert_eq!(lab.shared.profiles.len(), 1, "profiled once");
     }
 
     #[test]

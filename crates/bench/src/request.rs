@@ -95,7 +95,7 @@ fn parse_thresholds(raw: &str) -> Result<ThrottleThresholds, String> {
 
 /// Registers every listed workload file, returning the workload names
 /// they define in file order. Idempotent for unchanged files (content
-/// hashing in the registry), so re-resolving a request is safe.
+/// hashing in the registry), so re-parsing a request is safe.
 fn register_workload_files(files: &[String]) -> Result<Vec<String>, String> {
     let mut loaded = Vec::new();
     for f in files {
@@ -105,16 +105,36 @@ fn register_workload_files(files: &[String]) -> Result<Vec<String>, String> {
 }
 
 /// Reads the optional field `key` of `j` through `conv`; a value of the
-/// wrong type is an error naming the field and the expected type.
+/// wrong type is an error naming the field and the expected type. A
+/// dotted `key` (`retry.attempts`) reads its last segment from `j`, the
+/// nested object, and the error names the whole path.
 fn field<T>(
     j: &Json,
     key: &str,
     want: &str,
     conv: impl Fn(&Json) -> Option<T>,
 ) -> Result<Option<T>, String> {
-    j.get(key)
+    let name = key.rsplit_once('.').map_or(key, |(_, name)| name);
+    j.get(name)
         .map(|v| conv(v).ok_or_else(|| format!("{key} must be {want}")))
         .transpose()
+}
+
+/// The optional object field `key` of `j`, whose own fields must all be
+/// `known`: a non-object value or an unknown inner field is an error
+/// naming the field path (e.g. `retry.atempts`), so a typo inside a
+/// nested object fails as loudly as one at the top level.
+fn object_field<'a>(j: &'a Json, key: &str, known: &[&str]) -> Result<Option<&'a Json>, String> {
+    let Some(v) = j.get(key) else {
+        return Ok(None);
+    };
+    let Json::Obj(pairs) = v else {
+        return Err(format!("{key} must be an object"));
+    };
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("unknown request field \"{key}.{k}\"")),
+        None => Ok(Some(v)),
+    }
 }
 
 fn str_field(j: &Json, key: &str) -> Result<Option<String>, String> {
@@ -249,11 +269,9 @@ impl SweepRequest {
             set(&mut doc, "jobs", Json::Num(n as f64));
         }
         if let Some(path) = &flags.store {
-            // The flag replaces the path only; the file's `compact` stays.
-            let mut store = match doc.get("store") {
-                Some(s @ Json::Obj(_)) => s.clone(),
-                _ => Json::Obj(Vec::new()),
-            };
+            // The flag replaces the path only; the file's `compact` stays
+            // (and a non-object `store` stays for the parser to reject).
+            let mut store = doc.get("store").cloned().unwrap_or(Json::Obj(Vec::new()));
             set(&mut store, "path", Json::Str(path.clone()));
             set(&mut doc, "store", store);
         }
@@ -263,10 +281,11 @@ impl SweepRequest {
         Self::from_json(&doc)
     }
 
-    /// Validates the request: non-empty grid, loadable workload files,
-    /// known workload names (with a did-you-mean suggestion from the
-    /// registry), a parseable fault plan. Returns `self` unchanged on
-    /// success.
+    /// Validates the request: non-empty grid, known workload names (with
+    /// a did-you-mean suggestion from the registry), a parseable fault
+    /// plan. Returns `self` unchanged on success. It reads no file:
+    /// [`SweepRequest::from_json`] registers the `workload_files` once,
+    /// so a request that parsed still runs after its files are gone.
     ///
     /// # Errors
     ///
@@ -278,10 +297,6 @@ impl SweepRequest {
         if self.systems.is_empty() {
             return Err("systems must not be empty".to_string());
         }
-        // Hand-built requests (`SweepRequest { workload_files, .. }`)
-        // skip `from_json`; registration is idempotent, so repeating it
-        // here keeps both paths sound.
-        register_workload_files(&self.workload_files)?;
         for w in &self.workloads {
             if registry::lookup(w).is_none() {
                 return Err(match registry::suggest(w) {
@@ -457,30 +472,31 @@ impl SweepRequest {
         r.jobs = u64_field(j, "jobs")?
             .map(|n| positive("jobs", n).map(|n| n as usize))
             .transpose()?;
-        if let Some(retry) = j.get("retry") {
-            if let Some(n) = u64_field(retry, "attempts")? {
+        if let Some(retry) =
+            object_field(j, "retry", &["attempts", "backoff_ms", "cell_deadline_ms"])?
+        {
+            if let Some(n) = u64_field(retry, "retry.attempts")? {
                 r.retry.max_attempts = u32::try_from(positive("retry.attempts", n)?)
                     .map_err(|_| format!("retry.attempts {n} is out of range"))?;
             }
-            if let Some(ms) = u64_field(retry, "backoff_ms")? {
+            if let Some(ms) = u64_field(retry, "retry.backoff_ms")? {
                 r.retry.backoff_base_ms = ms;
             }
-            if let Some(ms) = u64_field(retry, "cell_deadline_ms")? {
+            if let Some(ms) = u64_field(retry, "retry.cell_deadline_ms")? {
                 r.retry.deadline_ms = (ms > 0).then_some(ms);
             }
         }
-        if let Some(c) = j.get("checkpoint") {
-            let warm_cycles = u64_field(c, "warm_cycles")?;
-            r.checkpoint = str_field(c, "dir")?.map(|dir| {
-                CheckpointConfig::new(
-                    PathBuf::from(dir),
-                    warm_cycles.unwrap_or(CheckpointConfig::DEFAULT_WARM_CYCLES),
-                )
-            });
+        if let Some(c) = object_field(j, "checkpoint", &["dir", "warm_cycles"])? {
+            let dir = str_field(c, "checkpoint.dir")?.ok_or("checkpoint.dir is required")?;
+            let warm_cycles = u64_field(c, "checkpoint.warm_cycles")?;
+            r.checkpoint = Some(CheckpointConfig::new(
+                PathBuf::from(dir),
+                warm_cycles.unwrap_or(CheckpointConfig::DEFAULT_WARM_CYCLES),
+            ));
         }
-        if let Some(s) = j.get("store") {
-            r.store_path = str_field(s, "path")?.filter(|p| !p.is_empty());
-            r.store_compact = bool_field(s, "compact")?.unwrap_or(false);
+        if let Some(s) = object_field(j, "store", &["path", "compact"])? {
+            r.store_path = str_field(s, "store.path")?.filter(|p| !p.is_empty());
+            r.store_compact = bool_field(s, "store.compact")?.unwrap_or(false);
         }
         r.fault_plan = str_field(j, "fault_plan")?.unwrap_or_default();
         r.lab_dir = str_field(j, "lab_dir")?;
@@ -564,6 +580,21 @@ mod tests {
             let err = SweepRequest::from_json(&doc).unwrap_err();
             assert!(err.contains("validate_thresholds"), "{bad}: {err}");
         }
+        // Nested objects reject typos and wrong shapes too, naming the
+        // field path; a checkpoint store needs its directory.
+        for (doc, field) in [
+            (r#"{"retry": {"atempts": 0}}"#, "retry.atempts"),
+            (r#"{"retry": 3}"#, "retry must be an object"),
+            (r#"{"store": "x.store"}"#, "store must be an object"),
+            (r#"{"store": {"paht": "x.store"}}"#, "store.paht"),
+            (r#"{"checkpoint": {"warm_cycles": 100}}"#, "checkpoint.dir"),
+            (r#"{"checkpoint": "dir"}"#, "checkpoint must be an object"),
+            (r#"{"retry": {"attempts": "x"}}"#, "retry.attempts must be"),
+            (r#"{"store": {"compact": 1}}"#, "store.compact must be"),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert!(err.contains(field), "{doc}: {err}");
+        }
         // The trace cache and the hot-path bench baseline are gone;
         // documents that still set them fail the unknown-field check.
         for (doc, field) in [
@@ -628,6 +659,15 @@ mod tests {
             "flag path wins"
         );
         assert!(r.store_compact, "the file's compaction survives the flag");
+        let path = write_config("store-string", r#"{"store": "file.store"}"#);
+        let flags = RequestFlags {
+            config: Some(path.to_string_lossy().into_owned()),
+            store: Some("flag.store".to_string()),
+            ..RequestFlags::default()
+        };
+        let err = SweepRequest::resolve(&flags).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("store must be an object"), "{err}");
     }
 
     #[test]

@@ -214,6 +214,43 @@ fn stale_provenance_store_record_is_not_served_as_a_hit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request's workload files register once, when the request is
+/// parsed: submitting it reads no file, so a `.wl` file deleted between
+/// parsing and submission still runs.
+#[test]
+fn parsed_request_runs_after_its_workload_file_is_gone() {
+    let dir = scratch("register-once");
+    let spec = dir.join("svconce.wl");
+    std::fs::write(
+        &spec,
+        "workload svconce {
+    seed 5;
+    node Node { size 16; ptr next @ 8; field data @ 0; }
+    chain items: Node { count 32; }
+    traverse items { visit { load data; } }
+}
+",
+    )
+    .unwrap();
+    let doc = Json::obj([
+        (
+            "workload_files",
+            Json::Arr(vec![Json::Str(spec.to_string_lossy().into_owned())]),
+        ),
+        ("input", Json::Str("test".to_string())),
+        ("systems", Json::Arr(vec![Json::Str("stream".to_string())])),
+    ]);
+    let request = SweepRequest::from_json(&doc).unwrap();
+    std::fs::remove_file(&spec).unwrap();
+
+    let svc = SweepService::start(bench::Lab::new(), None, 1);
+    let job = svc.submit(request).unwrap();
+    wait_done(&job);
+    let status = job.status();
+    assert_eq!((status.completed, status.failed), (1, 0), "{status:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // HTTP end-to-end against the real binary
 // ---------------------------------------------------------------------

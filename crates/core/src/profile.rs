@@ -58,9 +58,13 @@ impl PgProfile {
     /// True if `pg` is beneficial: majority (>50%) of its prefetches were
     /// useful, with at least `min_samples` resolved outcomes.
     pub fn is_beneficial(&self, pg: &PgTag) -> bool {
-        self.pgs
-            .get(pg)
-            .is_some_and(|u| u.useful + u.useless >= self.min_samples && u.usefulness() > 0.5)
+        self.pgs.get(pg).is_some_and(|u| self.clears(u, 0.5))
+    }
+
+    /// True if `u` has at least `min_samples` resolved outcomes and a
+    /// useful fraction above `threshold`.
+    fn clears(&self, u: &PgUsage, threshold: f64) -> bool {
+        u.useful + u.useless >= self.min_samples && u.usefulness() > threshold
     }
 
     /// Counts of (beneficial, harmful) pointer groups — the paper's
@@ -68,11 +72,11 @@ impl PgProfile {
     pub fn counts(&self) -> (usize, usize) {
         let mut beneficial = 0;
         let mut harmful = 0;
-        for (pg, u) in &self.pgs {
+        for u in self.pgs.values() {
             if u.useful + u.useless < self.min_samples {
                 continue;
             }
-            if self.is_beneficial(pg) {
+            if self.clears(u, 0.5) {
                 beneficial += 1;
             } else {
                 harmful += 1;
@@ -106,21 +110,23 @@ impl PgProfile {
 
     /// Generates the per-load hint bit vectors: one bit per beneficial PG.
     pub fn hint_table(&self) -> HintTable {
-        let mut table = HintTable::new();
+        self.hint_table_at(0.5)
+    }
+
+    /// The hint bit vectors at another usefulness bar: one bit per PG
+    /// whose useful fraction exceeds `threshold` (the paper's majority
+    /// rule is `0.5`, footnote 4).
+    pub fn hint_table_at(&self, threshold: f64) -> HintTable {
         let mut vectors: HashMap<u32, HintVector> = HashMap::new();
-        for pg in self.pgs.keys() {
-            if self.is_beneficial(pg) {
-                let v = vectors.entry(pg.pc).or_default();
-                let off = i32::from(pg.offset);
-                if off % 4 == 0 && (-64..=60).contains(&off) {
-                    v.set(off);
-                }
+        for (pg, u) in &self.pgs {
+            let off = i32::from(pg.offset);
+            if self.clears(u, threshold) && off % 4 == 0 && (-64..=60).contains(&off) {
+                vectors.entry(pg.pc).or_default().set(off);
             }
         }
+        let mut table = HintTable::new();
         for (pc, v) in vectors {
-            if !v.is_empty() {
-                table.insert(pc, v);
-            }
+            table.insert(pc, v);
         }
         table
     }
@@ -427,6 +433,42 @@ mod tests {
         }
         let u = pgs[&pg];
         assert_eq!((u.issued, u.useful, u.useless), (10, 1, 9));
+    }
+
+    /// The table's hints as sorted `(pc, positive, negative)` triples.
+    fn hint_bits(t: &HintTable) -> Vec<(u32, u16, u16)> {
+        let mut bits: Vec<_> = t
+            .iter()
+            .map(|(pc, v)| (*pc, v.positive, v.negative))
+            .collect();
+        bits.sort_unstable();
+        bits
+    }
+
+    #[test]
+    fn threshold_hint_tables_agree_with_the_majority_rule_and_nest() {
+        use workloads::{InputSet, Workload};
+        let traces = [
+            workloads::olden::Mst.generate(InputSet::Train),
+            workloads::olden::Health.generate(InputSet::Train),
+            workloads::spec_int::Perlbench.generate(InputSet::Train),
+        ];
+        for t in &traces {
+            let p = profile_workload(t);
+            let majority = p.hint_table_at(0.5);
+            assert!(!majority.is_empty(), "real profiles have hints");
+            assert_eq!(hint_bits(&majority), hint_bits(&p.hint_table()));
+            // A higher bar keeps a subset of the hints of a lower one.
+            let ladder = [0.75, 0.5, 0.25].map(|th| p.hint_table_at(th));
+            for pair in ladder.windows(2) {
+                let (strict, loose) = (&pair[0], &pair[1]);
+                for (pc, v) in strict.iter() {
+                    let w = loose.get(*pc).copied().unwrap_or_default();
+                    assert_eq!(v.positive & !w.positive, 0, "load {pc:#x}");
+                    assert_eq!(v.negative & !w.negative, 0, "load {pc:#x}");
+                }
+            }
+        }
     }
 
     #[test]

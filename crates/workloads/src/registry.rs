@@ -282,6 +282,16 @@ impl Registry {
         Ok(())
     }
 
+    /// Names registered from a file with content hash `hash`, in
+    /// registration order.
+    fn names_from(&self, hash: u64) -> Vec<String> {
+        self.entries
+            .iter()
+            .filter(|e| e.handle.provenance_hash() == Some(hash))
+            .map(|e| e.handle.name().to_string())
+            .collect()
+    }
+
     /// The closest registered name to `name`, if any is close enough to
     /// be a plausible typo (edit distance ≤ 2, or ≤ 3 for names of 8+
     /// characters).
@@ -406,7 +416,10 @@ fn sanitized_stem(path: &Path) -> Result<String, String> {
 /// Loads a workload file into the global registry and returns the names
 /// it registered. Dispatches on extension: `.wl` (DSL, possibly several
 /// workloads), `.trace` (text trace) or `.xtrc` (streamed binary trace).
-/// Re-registering identical content is idempotent.
+/// Re-registering identical content is idempotent, and returns the
+/// names already registered before anything is parsed or leaked, so a
+/// long-running service that sees the same file again does not grow.
+/// A `.wl` file registers all of its workloads or none.
 ///
 /// # Errors
 ///
@@ -422,18 +435,23 @@ pub fn register_file(path: impl AsRef<Path>) -> Result<Vec<String>, String> {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let hash = fnv1a_update(FNV1A_BASIS, src.as_bytes());
+            let known = read().names_from(hash);
+            if !known.is_empty() {
+                return Ok(known);
+            }
             let specs = loader::load_specs(&src).map_err(|e| format!("{}: {e}", path.display()))?;
             let mut reg = global().write().expect("workload registry poisoned");
+            let before = reg.entries.len();
             for w in specs {
                 let name = w.name().to_string();
-                reg.register(
-                    SUITE_LOADED,
-                    WorkloadHandle::Synthetic {
-                        workload: Arc::new(w),
-                        hash: Some(hash),
-                    },
-                )
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+                let handle = WorkloadHandle::Synthetic {
+                    workload: Arc::new(w),
+                    hash: Some(hash),
+                };
+                if let Err(e) = reg.register(SUITE_LOADED, handle) {
+                    reg.entries.truncate(before);
+                    return Err(format!("{}: {e}", path.display()));
+                }
                 registered.push(name);
             }
         }
@@ -441,9 +459,13 @@ pub fn register_file(path: impl AsRef<Path>) -> Result<Vec<String>, String> {
             let src = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let hash = fnv1a_update(FNV1A_BASIS, src.as_bytes());
+            let stem = sanitized_stem(path)?;
+            if read().names_from(hash).contains(&stem) {
+                return Ok(vec![stem]);
+            }
             let trace =
                 loader::parse_trace(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-            let name = leak(sanitized_stem(path)?);
+            let name = leak(stem);
             global()
                 .write()
                 .expect("workload registry poisoned")
@@ -459,7 +481,11 @@ pub fn register_file(path: impl AsRef<Path>) -> Result<Vec<String>, String> {
         }
         "xtrc" => {
             let xt = ExternalTrace::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let name = leak(sanitized_stem(path)?);
+            let stem = sanitized_stem(path)?;
+            if read().names_from(xt.content_hash()).contains(&stem) {
+                return Ok(vec![stem]);
+            }
+            let name = leak(stem);
             let source = StreamSource {
                 name,
                 path: path.to_path_buf(),
@@ -538,6 +564,40 @@ mod tests {
         r.register(SUITE_LOADED, mk(7)).unwrap();
         assert!(r.register(SUITE_LOADED, mk(8)).is_err());
         assert_eq!(r.suite(SUITE_LOADED).len(), 1);
+    }
+
+    #[test]
+    fn a_wl_file_registers_all_its_workloads_or_none() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("registry-partial-{}.wl", std::process::id()));
+        let first = format!("partial_{}", std::process::id());
+        // The second workload collides with a built-in name.
+        let body = "{ seed 1; node N { size 8; ptr next @ 4; field v @ 0; } \
+                    chain c: N { count 4; } traverse c { visit { load v; } } }\n";
+        std::fs::write(&path, format!("workload {first} {body}workload mst {body}")).unwrap();
+        for _ in 0..2 {
+            let err = register_file(&path).unwrap_err();
+            assert!(err.contains("mst"), "{err}");
+            assert!(lookup(&first).is_none(), "no partial registration");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn re_registering_a_trace_file_is_idempotent_until_it_changes() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("registry-again-{}.trace", std::process::id()));
+        std::fs::write(&path, "load 4 0x1000\ncompute 3\n").unwrap();
+        let names = register_file(&path).unwrap();
+        assert_eq!(
+            register_file(&path).unwrap(),
+            names,
+            "same content, same names"
+        );
+        std::fs::write(&path, "load 4 0x2000\n").unwrap();
+        let err = register_file(&path).unwrap_err();
+        assert!(err.contains("different content"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
