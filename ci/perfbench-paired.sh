@@ -15,7 +15,9 @@
 # naming the tree ("change" or "parent") and "pr" left null. The script
 # exits 1 when a run is not `correct`, or when on either workload the
 # change's median jobs_per_s or sim_minst_per_s is below 0.8x the
-# parent's median. Needs git, jq and a Rust toolchain.
+# parent's median. On stderr it also says, per workload, whether every
+# change-side stats_digest equals every parent-side one (information
+# only; it never fails the run). Needs git, jq and a Rust toolchain.
 set -euo pipefail
 
 parent_rev=${1:?usage: ci/perfbench-paired.sh PARENT_REV}
@@ -89,6 +91,25 @@ median() {
               | .result.metrics[$metric].value // empty]
          | sort | if length == 0 then 0 else .[length / 2 | floor] end' "$lines"
 }
+
+# digests SIDE WORKLOAD: the distinct stats_digests of the recorded runs.
+digests() {
+    jq -rs --arg side "$1" --arg workload "$2" \
+        '[.[] | select(.side == $side and .workload == $workload) | .stats_digest]
+         | unique | join(",")' "$lines"
+}
+
+# Digest agreement is information only: a change that means to move
+# simulated results moves its digests too, so a mismatch fails nothing.
+for workload in "${workloads[@]}"; do
+    change=$(digests change "$workload")
+    parent_digests=$(digests parent "$workload")
+    if [[ -n $change && $change != *,* && $change == "$parent_digests" ]]; then
+        echo "[paired] $workload stats_digest: every change run equals every parent run ($change)" >&2
+    else
+        echo "[paired] $workload stats_digest: differ (change $change; parent $parent_digests)" >&2
+    fi
+done
 
 for workload in "${workloads[@]}"; do
     for metric in "${metrics[@]}"; do

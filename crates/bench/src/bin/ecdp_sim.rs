@@ -48,7 +48,7 @@ fn main() {
                 println!("  {:<12} {}", w.name(), w.describe());
             }
             println!("systems:");
-            for k in SystemKind::ALL {
+            for k in SystemKind::all() {
                 println!("  {}", k.label());
             }
         }

@@ -6,11 +6,10 @@
 //! run writes `EXPERIMENTS.md` (in the current directory) and a
 //! `--filter` run prints its sections to stdout, so a partial report
 //! never replaces the full one. Also writes the run manifest of the
-//! `Lab`'s cells (workload × input × system runs) to
-//! `<lab_dir>/run_all.json` (default `target/lab`). Runs that are not
-//! cells stay out of it: the variant-study runs (ablations, the §6.1.6
-//! ref-profile runs, the Figure 10 profiled runs, the conformance
-//! corners) and the multi-core mixes.
+//! `Lab`'s runs (workload × input × system-spec, the variant studies
+//! included) to `<lab_dir>/run_all.json` (default `target/lab`). Only
+//! the profiling passes (memoized as profiles) and the multi-core mixes
+//! stay out of it.
 //!
 //! ```text
 //! cargo run --release -p bench --bin run_all [-- [--config FILE]

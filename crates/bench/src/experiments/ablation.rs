@@ -2,11 +2,11 @@
 //! the number of compare bits, the maximum recursion depth, the sampling
 //! interval length, the hint-vector usefulness threshold — plus the paper's
 //! stated "ongoing work": coordinated throttling across *three*
-//! prefetchers.
+//! prefetchers. Each variant is a [`SystemSpec`] the `Lab` runs and
+//! memoizes; a variant that restates the default is the Figure 7 run.
 
-use ecdp::system::{core_setup, CompilerArtifacts, SystemBuilder, SystemKind};
-use prefetch::{CdpConfig, ContentDirectedPrefetcher, GhbConfig, GhbPrefetcher};
-use sim_core::{Aggressiveness, DramScheduling, Machine, MachineConfig, PrefetcherId, RowPolicy};
+use ecdp::system::{HintSource, SystemKind, SystemSpec};
+use sim_core::{Aggressiveness, DramScheduling, MachineConfig, RowPolicy};
 use workloads::InputSet;
 
 use crate::table::{f2, Table};
@@ -16,38 +16,21 @@ use crate::Lab;
 /// (covering the CDP-hostile, CDP-friendly and mixed regimes).
 const SWEEP_BENCHES: [&str; 5] = ["mst", "health", "perlbench", "xalancbmk", "pfast"];
 
+/// The full proposal: stream + ECDP + coordinated throttling.
+const PROPOSAL: SystemSpec = SystemSpec::of(SystemKind::StreamEcdpThrottled);
+
 /// The table of one parameter sweep: a row per [`SWEEP_BENCHES`] workload
-/// and a column per variant (headed by its label), each cell the speedup
-/// over the stream baseline of the machine `machine` assembles for that
-/// workload and variant, run on the workload's ref trace.
-fn sweep_table<V>(
-    lab: &Lab,
-    variants: &[(String, V)],
-    machine: impl Fn(&str, &V) -> Machine,
-) -> String {
+/// and a column per labelled spec, each cell the spec's speedup.
+fn sweep_table(lab: &Lab, columns: &[(String, SystemSpec)]) -> String {
     let mut headers = vec!["bench".to_string()];
-    headers.extend(variants.iter().map(|(label, _)| label.clone()));
+    headers.extend(columns.iter().map(|(label, _)| label.clone()));
     let mut t = Table::new(headers);
     for name in SWEEP_BENCHES {
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let trace = lab.trace(name, InputSet::Ref);
         let mut cells = vec![name.to_string()];
-        for (_, v) in variants {
-            let stats = machine(name, v).run(&trace).expect("ablation run failed");
-            cells.push(f2(stats.ipc() / base));
-        }
+        cells.extend(columns.iter().map(|(_, spec)| f2(lab.speedup(name, spec))));
         t.row(cells);
     }
     t.to_markdown()
-}
-
-/// The full proposal (stream + ECDP + coordinated throttling) on
-/// `artifacts` and machine configuration `config`.
-fn proposal(artifacts: &CompilerArtifacts, config: MachineConfig) -> Machine {
-    SystemBuilder::new(SystemKind::StreamEcdpThrottled)
-        .artifacts(artifacts)
-        .config(config)
-        .build()
 }
 
 /// The "Ablations and extensions" report section: every study of this
@@ -70,25 +53,17 @@ pub fn ablations(lab: &Lab) -> String {
     report
 }
 
-/// Sweep the CDP compare-bits parameter (paper §5 fixes it at 8 of 32):
-/// the full proposal with only its CDP slot rebuilt.
+/// Sweep the CDP compare-bits parameter (paper §5 fixes it at 8 of 32).
 pub fn compare_bits_sweep(lab: &Lab) -> String {
-    let bits = [4u32, 8, 12, 16].map(|b| (format!("{b} bits"), b));
-    let table = sweep_table(lab, &bits, |name, &compare_bits| {
-        let art = lab.artifacts(name);
-        let mut setup = core_setup(SystemKind::StreamEcdpThrottled, &art);
-        setup.prefetchers[1] = Box::new(ContentDirectedPrefetcher::new(
-            PrefetcherId(1),
-            CdpConfig { compare_bits },
-            Box::new(art.hints.clone()),
-        ));
-        Machine::with_cores(MachineConfig::default(), vec![setup])
-    });
+    let bits = [4u32, 8, 12, 16].map(|b| (format!("{b} bits"), PROPOSAL.compare_bits(b)));
+    let table = sweep_table(lab, &bits);
     format!(
         "## Ablation — CDP compare bits (speedup of ECDP+throttle vs baseline)\n\n{table}\n\
          The paper fixes 8 compare bits. Fewer bits admit more false pointers; more bits\n\
-         reject cross-region pointers. In this address-space layout the heap shares its\n\
-         top byte, so 4–8 behave alike and 16 starts rejecting distant heap pointers.\n"
+         reject cross-region pointers. Here 12 bits is best on 4 of 5 benchmarks (mst 1.54\n\
+         vs 1.29 at 8 bits, health 2.61 vs 2.10; xalancbmk is flat), 4 bits already loses\n\
+         to 8 (mst 1.21 vs 1.29, pfast 1.06 vs 1.16), and 16 bits gives part of the gain\n\
+         back (mst 1.31, perlbench 1.10).\n"
     )
 }
 
@@ -101,32 +76,31 @@ pub fn recursion_depth_sweep(lab: &Lab) -> String {
         ("depth 3", Aggressiveness::Moderate),
         ("depth 4", Aggressiveness::Aggressive),
     ]
-    .map(|(label, level)| (label.to_string(), level));
-    let table = sweep_table(lab, &levels, |name, &level| {
-        let mut m = SystemBuilder::new(SystemKind::StreamEcdp)
-            .artifacts(&lab.artifacts(name))
-            .build();
-        m.set_prefetcher_aggressiveness(1, level);
-        m
+    .map(|(label, level)| {
+        let spec = SystemSpec::of(SystemKind::StreamEcdp).pin(1, level);
+        (label.to_string(), spec)
     });
+    let table = sweep_table(lab, &levels);
     format!(
         "## Ablation — fixed CDP recursion depth, unthrottled ECDP\n\n{table}\n\
          Depth is the CDP aggressiveness knob: chains need depth to sprint ahead of the\n\
-         demand stream (health), while junk-heavy expansions want depth 1 (mst) — which\n\
-         is exactly why the paper throttles it dynamically.\n"
+         demand stream (health, 1.17 at depth 1 to 2.10 at depth 4), mst peaks at depth 2\n\
+         (1.38 vs 1.30 at depth 1), and junk-heavy expansions want depth 1 (pfast, 1.09\n\
+         falling to 0.82). No one depth suits every benchmark, which is exactly why the\n\
+         paper throttles it dynamically.\n"
     )
 }
 
 /// Sweep the feedback-sampling interval (paper §4.1 fixes 8192 evictions).
 pub fn interval_sweep(lab: &Lab) -> String {
-    let intervals = [1024u64, 4096, 8192, 32768].map(|i| (format!("{i} ev"), i));
-    let table = sweep_table(lab, &intervals, |name, &interval_evictions| {
+    let intervals = [1024u64, 4096, 8192, 32768].map(|interval_evictions| {
         let config = MachineConfig {
             interval_evictions,
             ..Default::default()
         };
-        proposal(&lab.artifacts(name), config)
+        (format!("{interval_evictions} ev"), PROPOSAL.config(config))
     });
+    let table = sweep_table(lab, &intervals);
     format!(
         "## Ablation — feedback sampling interval (ECDP+throttle speedup)\n\n{table}\n\
          Shorter intervals react faster but on noisier counters; the paper's 8192-eviction\n\
@@ -137,14 +111,9 @@ pub fn interval_sweep(lab: &Lab) -> String {
 /// Sweep the PG usefulness threshold used to classify beneficial groups
 /// (the paper uses majority, i.e. 50%).
 pub fn hint_threshold_sweep(lab: &Lab) -> String {
-    let thresholds = [0.25f64, 0.5, 0.75].map(|t| (format!(">{:.0}%", t * 100.0), t));
-    let table = sweep_table(lab, &thresholds, |name, &threshold| {
-        let art = CompilerArtifacts {
-            hints: lab.profile(name).hint_table_at(threshold),
-            ..CompilerArtifacts::empty()
-        };
-        proposal(&art, MachineConfig::default())
-    });
+    let thresholds =
+        [25u8, 50, 75].map(|bar| (format!(">{bar}%"), PROPOSAL.hints(HintSource::TrainAt(bar))));
+    let table = sweep_table(lab, &thresholds);
     format!(
         "## Ablation — pointer-group usefulness threshold\n\n{table}\n\
          The paper classifies a PG as beneficial when the majority (>50%) of its\n\
@@ -166,20 +135,9 @@ pub fn three_prefetchers(lab: &Lab) -> String {
     let mut three_raw = Vec::new();
     let mut three_thr = Vec::new();
     for name in crate::experiments::POINTER_BENCHES {
-        let art = lab.artifacts(name);
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let two_r = lab.run(name, SystemKind::StreamEcdpThrottled).ipc() / base;
-        let trace = lab.trace(name, InputSet::Ref);
-        let run3 = |kind| {
-            let mut m = SystemBuilder::new(kind).artifacts(&art).build();
-            m.add_prefetcher(Box::new(GhbPrefetcher::new(
-                PrefetcherId(2),
-                GhbConfig::default(),
-            )));
-            m.run(&trace).expect("ablation run failed").ipc() / base
-        };
-        let raw = run3(SystemKind::StreamEcdp);
-        let thr = run3(SystemKind::StreamEcdpThrottled);
+        let two_r = lab.speedup(name, &PROPOSAL);
+        let raw = lab.speedup(name, &SystemSpec::of(SystemKind::StreamEcdp).with_ghb());
+        let thr = lab.speedup(name, &PROPOSAL.with_ghb());
         two.push(two_r);
         three_raw.push(raw);
         three_thr.push(thr);
@@ -222,11 +180,9 @@ pub fn dram_policy_sweep(lab: &Lab) -> String {
         let mut config = MachineConfig::default();
         config.dram.scheduling = scheduling;
         config.dram.row_policy = row_policy;
-        (label.to_string(), config)
+        (label.to_string(), PROPOSAL.config(config))
     });
-    let table = sweep_table(lab, &configs, |name, config| {
-        proposal(&lab.artifacts(name), config.clone())
-    });
+    let table = sweep_table(lab, &configs);
     format!(
         "## Ablation — DRAM scheduling and row-buffer policy (ECDP+throttle speedup)\n\n{table}\n\
          Demand-first prioritisation is what keeps useless prefetches from delaying\n\
@@ -258,8 +214,9 @@ pub fn profile_quality(lab: &Lab) -> String {
     }
     format!(
         "## Ablation — profile stability across inputs\n\n{}\n\
-         The hint tables derived from train and ref inputs select essentially the same\n\
-         loads — the basis of the paper's §6.1.6 insensitivity claim.\n",
+         The train and ref hint tables agree in size on health, perlbench and xalancbmk,\n\
+         but not on mst and pfast: 2 hints on train and 0 on ref, so there the two inputs\n\
+         do not select the same loads (§6.1.6 shows what the empty ref table costs mst).\n",
         t.to_markdown()
     )
 }

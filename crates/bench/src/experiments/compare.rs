@@ -1,6 +1,6 @@
 //! Comparison experiments: Figures 11–13 and the §6.3/§7.x studies.
 
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 
 use crate::experiments::{gmean_with_without_health, POINTER_BENCHES};
 use crate::table::{f2, pct, Table};
@@ -168,8 +168,8 @@ fn per_load_gate_report(lab: &Lab, title: &str, kind: SystemKind, paper_note: &s
     let mut gate = Vec::new();
     let mut ours = Vec::new();
     for name in POINTER_BENCHES {
-        let g = lab.speedup(name, kind);
-        let o = lab.speedup(name, SystemKind::StreamEcdpThrottled);
+        let g = lab.speedup(name, &SystemSpec::of(kind));
+        let o = lab.speedup(name, &SystemSpec::of(SystemKind::StreamEcdpThrottled));
         gate.push((name, g));
         ours.push((name, o));
         t.row(vec![name.to_string(), f2(g), f2(o)]);
@@ -215,7 +215,7 @@ pub fn sec74(lab: &Lab) -> String {
     for name in POINTER_BENCHES {
         let base = lab.run(name, SystemKind::StreamOnly);
         let p = lab.run(name, SystemKind::StreamEcdpPab);
-        let o = lab.speedup(name, SystemKind::StreamEcdpThrottled);
+        let o = lab.speedup(name, &SystemSpec::of(SystemKind::StreamEcdpThrottled));
         pab.push((name, p.ipc() / base.ipc()));
         bw.push(p.bpki() / base.bpki().max(1e-9));
         t.row(vec![

@@ -6,7 +6,7 @@
 //! every configuration normalises shared-mode IPCs against the *baseline*
 //! alone runs, so reported gains are shared-mode throughput improvements.
 
-use ecdp::system::{core_setup, SystemKind};
+use ecdp::system::SystemKind;
 use sim_core::{Machine, MachineConfig, MultiRunStats};
 use workloads::InputSet;
 
@@ -45,7 +45,7 @@ pub fn run_mix(lab: &Lab, names: &[&str], kind: SystemKind) -> MultiRunStats {
         .iter()
         .map(|n| {
             let art = lab.artifacts(n);
-            core_setup(kind, &art)
+            ecdp::system::core_setup(kind, &art)
         })
         .collect();
     let cached: Vec<_> = names

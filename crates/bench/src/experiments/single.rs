@@ -2,7 +2,7 @@
 //! plus the §4 contention measurement and the §6.1.6 profiling-input study.
 
 use ecdp::cost::HardwareCost;
-use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind};
+use ecdp::system::{HintSource, SystemKind, SystemSpec};
 use sim_core::{MachineConfig, RunStats};
 use workloads::InputSet;
 
@@ -333,21 +333,15 @@ fn accuracy_coverage_report(lab: &Lab, accuracy: bool) -> String {
 }
 
 /// Figure 10: distribution of pointer-group usefulness, original CDP vs
-/// ECDP (measured on the evaluation run).
+/// ECDP (measured on the evaluation run; the CDP half is the ref-input
+/// profiling pass).
 pub fn fig10(lab: &Lab) -> String {
     let mut cdp_hist = [0usize; 4];
     let mut ecdp_hist = [0usize; 4];
+    let ecdp = SystemSpec::of(SystemKind::StreamEcdp);
     for name in POINTER_BENCHES {
-        let art = lab.artifacts(name);
-        let trace = lab.trace(name, InputSet::Ref);
-        let (_, pc) = SystemBuilder::new(SystemKind::StreamCdp)
-            .artifacts(&art)
-            .run_profiled(&trace)
-            .expect("profiled run failed");
-        let (_, pe) = SystemBuilder::new(SystemKind::StreamEcdp)
-            .artifacts(&art)
-            .run_profiled(&trace)
-            .expect("profiled run failed");
+        let pc = lab.profile_on(name, InputSet::Ref);
+        let pe = lab.profile_under(name, InputSet::Ref, &ecdp);
         for (h, p) in [(&mut cdp_hist, pc), (&mut ecdp_hist, pe)] {
             let hh = p.usefulness_histogram();
             for i in 0..4 {
@@ -399,18 +393,11 @@ pub fn sec616(lab: &Lab) -> String {
         "delta",
     ]);
     let mut deltas = Vec::new();
+    // Hints from the ref-input profile (the "same input" experiment).
+    let ref_hints = SystemSpec::of(SystemKind::StreamEcdpThrottled).hints(HintSource::Ref);
     for name in POINTER_BENCHES {
-        let base = lab.run(name, SystemKind::StreamOnly).ipc();
-        let with_train = lab.run(name, SystemKind::StreamEcdpThrottled).ipc() / base;
-        // Profile on the ref input (the "same input" experiment).
-        let ref_art = CompilerArtifacts::from_profile(&lab.profile_on(name, InputSet::Ref));
-        let with_ref = SystemBuilder::new(SystemKind::StreamEcdpThrottled)
-            .artifacts(&ref_art)
-            .run(&lab.trace(name, InputSet::Ref))
-            .expect("run failed")
-            .stats
-            .ipc()
-            / base;
+        let with_train = lab.speedup(name, &SystemSpec::of(SystemKind::StreamEcdpThrottled));
+        let with_ref = lab.speedup(name, &ref_hints);
         deltas.push((with_ref / with_train - 1.0) * 100.0);
         t.row(vec![
             name.to_string(),

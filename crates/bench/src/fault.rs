@@ -19,7 +19,8 @@
 //!   `corrupt-checkpoint`, `torn-write`, `short-write`, `enospc` or
 //!   `corrupt-record`;
 //! * `workload` is a workload name, `input` is `train`/`ref`/`test`,
-//!   `system` is a system label (`SystemKind::label`);
+//!   `system` is a system label (`SystemSpec::label`: a kind's label,
+//!   plus one suffix per edit for the variant studies' runs);
 //! * any of the three selectors may be `*` to match everything, and a
 //!   single `*` cell (`torn-write@*`) is shorthand for `*:*:*`;
 //! * `slow` and `stall` require a `=<ms>` duration; no other action
@@ -225,36 +226,39 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The first matching action for a cell's first attempt, if any.
-    pub fn action_for(
-        &self,
-        workload: &str,
+    /// The actions of the rules matching `attempt` (1-based) of a cell
+    /// whose system has label `system` (a `SystemSpec::label`), in plan
+    /// order. Rules with an `xN` cap stop firing after attempt `N`, which
+    /// is what lets a supervisor retry land clean.
+    fn matching<'a>(
+        &'a self,
+        workload: &'a str,
         input: InputSet,
-        system: SystemKind,
-    ) -> Option<FaultAction> {
-        self.action_for_attempt(workload, input, system, 1)
+        system: &'a str,
+        attempt: u32,
+    ) -> impl Iterator<Item = FaultAction> + 'a {
+        let input = input_label(input);
+        self.rules
+            .iter()
+            .filter(move |r| {
+                r.max_attempts.is_none_or(|cap| attempt <= cap)
+                    && matches(&r.workload, workload)
+                    && matches(&r.input, &input)
+                    && matches(&r.system, system)
+            })
+            .map(|r| r.action)
     }
 
-    /// The first matching action for `attempt` (1-based) of a cell:
-    /// rules with an `xN` cap stop firing after attempt `N`, which is
-    /// what lets a supervisor retry land clean.
+    /// The first rule's action for `attempt` of a cell whose system has
+    /// label `system` (a `SystemSpec::label`).
     pub fn action_for_attempt(
         &self,
         workload: &str,
         input: InputSet,
-        system: SystemKind,
+        system: &str,
         attempt: u32,
     ) -> Option<FaultAction> {
-        let input = input_label(input);
-        self.rules
-            .iter()
-            .filter(|r| r.max_attempts.is_none_or(|cap| attempt <= cap))
-            .find(|r| {
-                matches(&r.workload, workload)
-                    && matches(&r.input, &input)
-                    && matches(&r.system, system.label())
-            })
-            .map(|r| r.action)
+        self.matching(workload, input, system, attempt).next()
     }
 
     /// The first matching *store* fault (see
@@ -269,17 +273,8 @@ impl FaultPlan {
         system: SystemKind,
         attempt: u32,
     ) -> Option<FaultAction> {
-        let input = input_label(input);
-        self.rules
-            .iter()
-            .filter(|r| r.max_attempts.is_none_or(|cap| attempt <= cap))
-            .filter(|r| r.action.is_store_fault())
-            .find(|r| {
-                matches(&r.workload, workload)
-                    && matches(&r.input, &input)
-                    && matches(&r.system, system.label())
-            })
-            .map(|r| r.action)
+        self.matching(workload, input, system.label(), attempt)
+            .find(|a| a.is_store_fault())
     }
 }
 
@@ -324,16 +319,16 @@ mod tests {
             FaultPlan::parse("panic@mst:test:stream+cdp; livelock@health:*:stream ;slow@*:*:*=7")
                 .expect("valid plan");
         assert_eq!(
-            plan.action_for("mst", InputSet::Test, SystemKind::StreamCdp),
+            plan.action_for_attempt("mst", InputSet::Test, SystemKind::StreamCdp.label(), 1),
             Some(FaultAction::Panic)
         );
         assert_eq!(
-            plan.action_for("health", InputSet::Ref, SystemKind::StreamOnly),
+            plan.action_for_attempt("health", InputSet::Ref, SystemKind::StreamOnly.label(), 1),
             Some(FaultAction::Livelock)
         );
         // First match wins; the wildcard slow rule catches the rest.
         assert_eq!(
-            plan.action_for("em3d", InputSet::Train, SystemKind::GhbAlone),
+            plan.action_for_attempt("em3d", InputSet::Train, SystemKind::GhbAlone.label(), 1),
             Some(FaultAction::Slow(7))
         );
     }
@@ -351,7 +346,7 @@ mod tests {
         assert_eq!(
             FaultPlan::parse("corrupt-checkpoint@mst:test:stream")
                 .expect("valid")
-                .action_for("mst", InputSet::Test, SystemKind::StreamOnly),
+                .action_for_attempt("mst", InputSet::Test, SystemKind::StreamOnly.label(), 1),
             Some(FaultAction::CorruptCheckpoint)
         );
     }
@@ -364,23 +359,23 @@ mod tests {
         )
         .expect("valid plan");
         assert_eq!(
-            plan.action_for("mst", InputSet::Test, SystemKind::StreamOnly),
+            plan.action_for_attempt("mst", InputSet::Test, SystemKind::StreamOnly.label(), 1),
             Some(FaultAction::TornWrite)
         );
         assert_eq!(
-            plan.action_for("health", InputSet::Test, SystemKind::StreamEcdp),
+            plan.action_for_attempt("health", InputSet::Test, SystemKind::StreamEcdp.label(), 1),
             Some(FaultAction::ShortWrite)
         );
         assert_eq!(
-            plan.action_for("perimeter", InputSet::Ref, SystemKind::StreamCdp),
+            plan.action_for_attempt("perimeter", InputSet::Ref, SystemKind::StreamCdp.label(), 1),
             Some(FaultAction::Enospc)
         );
         assert_eq!(
-            plan.action_for("em3d", InputSet::Test, SystemKind::StreamOnly),
+            plan.action_for_attempt("em3d", InputSet::Test, SystemKind::StreamOnly.label(), 1),
             Some(FaultAction::CorruptRecord)
         );
         assert_eq!(
-            plan.action_for("treeadd", InputSet::Train, SystemKind::GhbAlone),
+            plan.action_for_attempt("treeadd", InputSet::Train, SystemKind::GhbAlone.label(), 1),
             Some(FaultAction::Stall(25))
         );
     }
@@ -401,7 +396,7 @@ mod tests {
     fn single_star_is_the_all_wildcard_cell() {
         let plan = FaultPlan::parse("torn-write@*").expect("valid");
         assert_eq!(
-            plan.action_for("anything", InputSet::Ref, SystemKind::GhbAlone),
+            plan.action_for_attempt("anything", InputSet::Ref, SystemKind::GhbAlone.label(), 1),
             Some(FaultAction::TornWrite)
         );
         // `**` or a partial star cell is still malformed.
@@ -413,15 +408,12 @@ mod tests {
     fn attempt_caps_stop_rules_after_n_attempts() {
         let plan = FaultPlan::parse("slow@mst:test:stream=40x2;panic@health:test:*=x1")
             .expect("valid plan");
-        let slow = |attempt| {
-            plan.action_for_attempt("mst", InputSet::Test, SystemKind::StreamOnly, attempt)
-        };
+        let slow = |attempt| plan.action_for_attempt("mst", InputSet::Test, "stream", attempt);
         assert_eq!(slow(1), Some(FaultAction::Slow(40)));
         assert_eq!(slow(2), Some(FaultAction::Slow(40)));
         assert_eq!(slow(3), None, "the cap clears the fault on attempt 3");
-        let panic_at = |attempt| {
-            plan.action_for_attempt("health", InputSet::Test, SystemKind::StreamCdp, attempt)
-        };
+        let panic_at =
+            |attempt| plan.action_for_attempt("health", InputSet::Test, "stream+cdp", attempt);
         assert_eq!(panic_at(1), Some(FaultAction::Panic));
         assert_eq!(panic_at(2), None);
         // Malformed caps fail fast.
@@ -436,7 +428,7 @@ mod tests {
             .expect("valid plan");
         // The compute-side lens sees the panic first …
         assert_eq!(
-            plan.action_for("mst", InputSet::Test, SystemKind::StreamOnly),
+            plan.action_for_attempt("mst", InputSet::Test, SystemKind::StreamOnly.label(), 1),
             Some(FaultAction::Panic)
         );
         // … while the store lens skips it and finds the record fault.
@@ -459,11 +451,11 @@ mod tests {
     fn unmatched_cells_get_no_action() {
         let plan = FaultPlan::parse("panic@mst:test:stream").expect("valid");
         assert_eq!(
-            plan.action_for("mst", InputSet::Ref, SystemKind::StreamOnly),
+            plan.action_for_attempt("mst", InputSet::Ref, SystemKind::StreamOnly.label(), 1),
             None
         );
         assert_eq!(
-            plan.action_for("health", InputSet::Test, SystemKind::StreamOnly),
+            plan.action_for_attempt("health", InputSet::Test, SystemKind::StreamOnly.label(), 1),
             None
         );
     }

@@ -1,13 +1,16 @@
 //! Thread-safe caching layer for experiment composition.
 //!
-//! A [`Lab`] memoizes workload traces, per-input profiles, compiler
+//! A [`Lab`] memoizes workload traces, pointer-group profiles, compiler
 //! artifacts and single-core run results behind compute-once cells, so
 //! each is computed **exactly once per process** no matter how many
 //! figures request it or how many worker threads run concurrently
 //! (concurrent requesters of the same cell block on the leader instead of
-//! recomputing). `Lab` is `Clone + Send + Sync`; clones share the same
-//! cache, which is what the parallel sweep executor in [`crate::sweep`]
-//! relies on.
+//! recomputing). Runs, their observability traces and profiles are keyed
+//! by (workload, input, [`SystemSpec`]): a report section or property
+//! declares the spec it needs, and the lab resolves the spec's hint
+//! source and builds its machine through [`SystemBuilder`]. `Lab` is
+//! `Clone + Send + Sync`; clones share the same cache, which is what the
+//! parallel sweep executor in [`crate::sweep`] relies on.
 //!
 //! The cache is failure-aware: a cell whose initializer returns an error
 //! or panics stays *empty* (it does not cache the failure and does not
@@ -19,10 +22,12 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use ecdp::profile::{profile_workload, PgProfile};
-use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind, SystemRun};
+use ecdp::profile::PgProfile;
+use ecdp::system::{
+    CompilerArtifacts, HintSource, SystemBuilder, SystemKind, SystemRun, SystemSpec,
+};
 use sim_core::frame::atomic_write;
 use sim_core::{DiagnosticSnapshot, ObsConfig, RunStats, RunTrace, SimError, Snapshot, Trace};
 use workloads::{registry, InputSet, StreamSource};
@@ -117,7 +122,7 @@ impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
 /// the warmup. Results are bit-identical either way (see
 /// `bench::difftest`), so the store is purely a wall-clock optimization.
 ///
-/// Checkpoints are keyed by workload, input, system, machine-config
+/// Checkpoints are keyed by workload, input, system label, machine-config
 /// hash and warm-cycle count, plus the provenance hash for workloads
 /// loaded from a file. A corrupt, truncated or stale file is
 /// *never* fatal: the lab falls back to a cold run for that cell,
@@ -146,22 +151,24 @@ impl CheckpointConfig {
         }
     }
 
-    /// The checkpoint file for one sweep cell. The machine-config hash
-    /// and warm-cycle count are part of the key, so a config change or
-    /// a different capture point misses cleanly instead of loading a
-    /// mismatched snapshot. A workload loaded from a file also keys on
-    /// its provenance hash, so an edited spec or regenerated trace never
+    /// The checkpoint file for one run. The spec's label (distinct for
+    /// every distinct spec, so a ref-hint run never forks from a
+    /// train-hint snapshot), its machine-config hash and the warm-cycle
+    /// count are part of the key, so a config change or a different
+    /// capture point misses cleanly instead of loading a mismatched
+    /// snapshot. A workload loaded from a file also keys on its
+    /// provenance hash, so an edited spec or regenerated trace never
     /// forks from the old file's warm state; built-in names carry no
     /// hash, so their existing checkpoints still load.
-    pub fn cell_path(&self, name: &str, input: InputSet, kind: SystemKind) -> PathBuf {
+    pub fn cell_path(&self, name: &str, input: InputSet, spec: &SystemSpec) -> PathBuf {
         let provenance = workload_provenance(name)
             .map(|h| format!("-{h}"))
             .unwrap_or_default();
         self.dir.join(format!(
             "{name}-{}-{}-{:016x}-{}{provenance}.snap",
             input_label(input),
-            kind.label(),
-            config_hash(),
+            spec.label(),
+            spec.config_hash().unwrap_or_else(config_hash),
             self.warm_cycles
         ))
     }
@@ -203,9 +210,8 @@ fn load_checkpoint(path: &Path, fault: Option<FaultAction>) -> CheckpointLoad {
 fn sleep_under_deadline(
     ms: u64,
     started: Instant,
-    deadline: Option<std::time::Duration>,
+    deadline: Option<Duration>,
 ) -> Result<(), SimError> {
-    use std::time::Duration;
     let total = Duration::from_millis(ms);
     let Some(limit) = deadline else {
         std::thread::sleep(total);
@@ -263,13 +269,40 @@ impl CellInput {
     }
 }
 
+/// The key of a run, its observability trace and its profile.
+type RunKey = (String, InputSet, SystemSpec);
+
+/// The compiler artifacts and the input of one run.
+type CellRun = (Arc<CompilerArtifacts>, CellInput);
+
+/// One attempt at a run, as the sweep supervisor makes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt {
+    /// 1-based; attempt-capped fault rules fire only on the first N.
+    pub number: u32,
+    /// Wall-clock budget, enforced by the engine watchdog (and by the
+    /// injected-`slow` sleep, which is deadline-interruptible).
+    pub deadline: Option<Duration>,
+    /// Also return the run's observability trace.
+    pub traced: bool,
+}
+
+impl Attempt {
+    /// A first, untraced attempt without a deadline.
+    pub const FIRST: Attempt = Attempt {
+        number: 1,
+        deadline: None,
+        traced: false,
+    };
+}
+
 struct LabShared {
     traces: OnceMap<(String, InputSet), Arc<Trace>>,
-    profiles: OnceMap<(String, InputSet), Arc<PgProfile>>,
+    profiles: OnceMap<RunKey, Arc<PgProfile>>,
     artifacts: OnceMap<String, Arc<CompilerArtifacts>>,
-    runs: OnceMap<(String, InputSet, SystemKind), RunEntry>,
-    /// Observability traces of runs executed with [`Lab::try_run_traced`].
-    traces_obs: OnceMap<(String, InputSet, SystemKind), Arc<RunTrace>>,
+    runs: OnceMap<RunKey, RunEntry>,
+    /// Observability traces of runs executed with [`Attempt::traced`].
+    traces_obs: OnceMap<RunKey, Arc<RunTrace>>,
     faults: FaultPlan,
     checkpoints: Option<CheckpointConfig>,
     verbose: bool,
@@ -375,15 +408,36 @@ impl Lab {
     }
 
     /// The (cached) pointer-group profile of one of the workload's
-    /// inputs; profiled at most once per process.
+    /// inputs: the `stream+cdp` profiling pass, run at most once per
+    /// process.
     pub fn profile_on(&self, name: &str, input: InputSet) -> Arc<PgProfile> {
-        let key = (name.to_string(), input);
+        self.profile_under(name, input, &SystemSpec::of(SystemKind::StreamCdp))
+    }
+
+    /// The (cached) pointer-group usefulness observed on `input` under
+    /// `spec` (Figure 10 compares it under CDP and ECDP).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profiled run fails: a wedged profiling run is a
+    /// simulator bug.
+    pub fn profile_under(&self, name: &str, input: InputSet, spec: &SystemSpec) -> Arc<PgProfile> {
+        let key = (name.to_string(), input, spec.clone());
         self.shared.profiles.get_or_init(&key, || {
+            // The profiling spec reads no hints; resolving them would ask
+            // for the train profile it is computing.
+            let art = match spec.hint_source() {
+                Some(_) => self.artifacts_for(name, spec),
+                None => Arc::default(),
+            };
             let t = self.trace(name, input);
             if self.shared.verbose {
-                eprintln!("[lab] profiling {name} {input:?}");
+                eprintln!("[lab] profiling {name} {input:?} on {}", spec.label());
             }
-            Arc::new(profile_workload(&t))
+            let run = SystemBuilder::from_spec(spec.clone())
+                .artifacts(&art)
+                .run_profiled(&t);
+            Arc::new(run.expect("profiling run failed").1)
         })
     }
 
@@ -395,18 +449,33 @@ impl Lab {
         })
     }
 
-    /// The compiler artifacts and input a cell of `name` runs on.
+    /// The compiler artifacts of `spec`'s hint source for `name`; a system
+    /// that reads none gets the train artifacts, which it ignores.
+    fn artifacts_for(&self, name: &str, spec: &SystemSpec) -> Arc<CompilerArtifacts> {
+        match spec.hint_source() {
+            None | Some(HintSource::Train) => self.artifacts(name),
+            Some(HintSource::TrainAt(bar)) => Arc::new(CompilerArtifacts {
+                hints: self.profile(name).hint_table_at(f64::from(bar) / 100.0),
+                ..CompilerArtifacts::empty()
+            }),
+            Some(HintSource::Ref) => Arc::new(CompilerArtifacts::from_profile(
+                &self.profile_on(name, InputSet::Ref),
+            )),
+        }
+    }
+
+    /// The compiler artifacts and input a run of `name` on `spec` uses.
     /// Streamed workloads have no train input to profile (an external
     /// trace is addresses, not a program), so they run with empty
     /// artifacts and skip the resident-trace cache.
-    fn cell_input(&self, name: &str, input: InputSet) -> (Arc<CompilerArtifacts>, CellInput) {
+    fn cell_input(&self, name: &str, input: InputSet, spec: &SystemSpec) -> CellRun {
         match registry::lookup(name) {
             Some(workloads::WorkloadHandle::Streamed(src)) => (
                 Arc::new(CompilerArtifacts::empty()),
                 CellInput::Streamed(src),
             ),
             _ => (
-                self.artifacts(name),
+                self.artifacts_for(name, spec),
                 CellInput::Resident(self.trace(name, input)),
             ),
         }
@@ -427,7 +496,8 @@ impl Lab {
         input: InputSet,
         kind: SystemKind,
     ) -> Result<RunStats, SimError> {
-        self.try_run_attempt(name, input, kind, 1, None)
+        self.try_run(name, input, &SystemSpec::of(kind), Attempt::FIRST)
+            .map(|(stats, _)| stats)
     }
 
     /// The fault plan this lab injects from (the sweep supervisor uses
@@ -436,153 +506,109 @@ impl Lab {
         &self.shared.faults
     }
 
-    /// Like [`Lab::try_run_on`], but for the sweep supervisor: `attempt`
-    /// (1-based) selects which attempt-capped fault rules still fire,
-    /// and `deadline` imposes a per-attempt wall-clock budget enforced
-    /// by the engine watchdog (and by the injected-`slow` sleep, which
-    /// is deadline-interruptible).
+    /// The one run entry: runs (or returns the cached run of) `name`'s
+    /// `input` trace on `spec`, as `attempt` says; fault rules match the
+    /// spec's label. A traced attempt also returns the [`RunTrace`]. Its
+    /// statistics are bit-identical to an untraced run's, so it seeds the
+    /// plain stats cache, and a traced request for a run simulated
+    /// untraced re-runs it once, for the trace alone. Failed runs are not
+    /// cached: a later request retries the simulation.
     ///
     /// # Errors
     ///
     /// Propagates the [`SimError`] of a wedged, injected-fault or
     /// deadline-overrunning run.
-    pub fn try_run_attempt(
+    pub fn try_run(
         &self,
         name: &str,
         input: InputSet,
-        kind: SystemKind,
-        attempt: u32,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<RunStats, SimError> {
-        self.try_run_inner(name, input, kind, None, attempt, deadline)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Like [`Lab::try_run_on`], but with the observability layer
-    /// (interval time series + throttle decision trace) enabled; returns
-    /// the statistics together with the recorded [`RunTrace`].
-    ///
-    /// The statistics are bit-identical to an untraced run (the
-    /// disabled-observer fast path is the default; enabling it only adds
-    /// bookkeeping outside the simulated machine), so the run *also*
-    /// seeds the plain stats cache: a later [`Lab::try_run_on`] of the
-    /// same cell is a cache hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`SimError`] of a wedged or injected-fault run.
-    pub fn try_run_traced(
-        &self,
-        name: &str,
-        input: InputSet,
-        kind: SystemKind,
-    ) -> Result<(RunStats, Arc<RunTrace>), SimError> {
-        self.try_run_traced_attempt(name, input, kind, 1, None)
-    }
-
-    /// The traced twin of [`Lab::try_run_attempt`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`SimError`] of a wedged, injected-fault or
-    /// deadline-overrunning run.
-    pub fn try_run_traced_attempt(
-        &self,
-        name: &str,
-        input: InputSet,
-        kind: SystemKind,
-        attempt: u32,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<(RunStats, Arc<RunTrace>), SimError> {
-        let key = (name.to_string(), input, kind);
-        let obs = ObsConfig::enabled();
-        let (stats, trace) = self.try_run_inner(name, input, kind, Some(obs), attempt, deadline)?;
-        Ok((
-            stats,
-            trace.unwrap_or_else(|| {
-                // The cell was already simulated untraced: rerun outside
-                // the stats cache to collect the trace, once.
-                self.shared.traces_obs.get_or_init(&key, || {
-                    let (art, cell_input) = self.cell_input(name, input);
-                    if self.shared.verbose {
-                        eprintln!(
-                            "[lab] re-running {name} {input:?} on {} for its trace",
-                            kind.label()
-                        );
-                    }
-                    let builder = SystemBuilder::new(kind).artifacts(&art).observe(obs);
-                    let run = cell_input.run(builder);
-                    Arc::new(run.ok().and_then(|r| r.trace).unwrap_or_default())
-                })
-            }),
-        ))
-    }
-
-    fn try_run_inner(
-        &self,
-        name: &str,
-        input: InputSet,
-        kind: SystemKind,
-        obs: Option<ObsConfig>,
-        attempt: u32,
-        deadline: Option<std::time::Duration>,
+        spec: &SystemSpec,
+        attempt: Attempt,
     ) -> Result<(RunStats, Option<Arc<RunTrace>>), SimError> {
-        let key = (name.to_string(), input, kind);
+        let key = (name.to_string(), input, spec.clone());
+        let obs = attempt.traced.then(ObsConfig::enabled);
         let (stats, _, _) = self.shared.runs.get_or_try_init(&key, || {
             let started = Instant::now();
+            let label = spec.label();
             let fault = self
                 .shared
                 .faults
-                .action_for_attempt(name, input, kind, attempt);
+                .action_for_attempt(name, input, &label, attempt.number);
             match fault {
                 Some(FaultAction::Panic) => {
-                    panic!("injected fault: panic in {name} {input:?} {}", kind.label())
+                    panic!("injected fault: panic in {name} {input:?} {label}")
                 }
                 Some(FaultAction::Livelock) => return Err(crate::fault::run_livelock()),
-                Some(FaultAction::Slow(ms)) => sleep_under_deadline(ms, started, deadline)?,
+                Some(FaultAction::Slow(ms)) => sleep_under_deadline(ms, started, attempt.deadline)?,
                 // CorruptCheckpoint is handled at checkpoint-load time
                 // inside run_cell; the store faults (stall, torn-write,
                 // short-write, enospc, corrupt-record) dispatch through
                 // the result store's write layer, not the compute path.
                 Some(_) | None => {}
             }
-            let (art, cell_input) = self.cell_input(name, input);
+            let (art, cell_input) = self.cell_input(name, input, spec);
             if self.shared.verbose {
-                eprintln!("[lab] running {name} {input:?} on {}", kind.label());
+                eprintln!("[lab] running {name} {input:?} on {label}");
             }
             // The deadline covers the whole attempt — injected sleep,
             // trace/profile warm-up and simulation; the engine enforces
             // whatever budget remains once the run itself starts.
-            let remaining = deadline.map(|limit| limit.saturating_sub(started.elapsed()));
+            let remaining = attempt
+                .deadline
+                .map(|limit| limit.saturating_sub(started.elapsed()));
             let t0 = Instant::now();
-            let (run, checkpoint) =
-                self.run_cell(name, input, kind, &art, &cell_input, obs, fault, remaining)?;
+            let build = || {
+                let b = SystemBuilder::from_spec(spec.clone())
+                    .artifacts(&art)
+                    .observe(obs.unwrap_or_default());
+                match remaining {
+                    Some(d) => b.wall_deadline(d),
+                    None => b,
+                }
+            };
+            let (run, checkpoint) = self.run_cell(&key, build, &cell_input, fault, remaining)?;
             if let Some(trace) = run.trace {
                 self.shared.traces_obs.get_or_init(&key, || Arc::new(trace));
             }
             Ok((run.stats, t0.elapsed().as_secs_f64() * 1e3, checkpoint))
         })?;
-        Ok((stats, self.shared.traces_obs.get(&key)))
+        let Some(obs) = obs else {
+            return Ok((stats, None));
+        };
+        let trace = self.shared.traces_obs.get_or_init(&key, || {
+            // The run was already simulated untraced: rerun it outside
+            // the stats cache to collect the trace, once.
+            let (art, cell_input) = self.cell_input(name, input, spec);
+            if self.shared.verbose {
+                eprintln!(
+                    "[lab] re-running {name} {input:?} on {} for its trace",
+                    spec.label()
+                );
+            }
+            let builder = SystemBuilder::from_spec(spec.clone())
+                .artifacts(&art)
+                .observe(obs);
+            let run = cell_input.run(builder);
+            Arc::new(run.ok().and_then(|r| r.trace).unwrap_or_default())
+        });
+        Ok((stats, Some(trace)))
     }
 
     /// Runs one cell, forking from the warm checkpoint store when one is
-    /// configured. Returns the run plus the checkpoint disposition.
+    /// configured. `build` assembles the cell's machine. Returns the run
+    /// plus the checkpoint disposition.
     ///
     /// A corrupt, unreadable or mismatched checkpoint is a *recoverable*
     /// per-cell event: the cell falls back to a cold run (re-capturing
     /// and rewriting the checkpoint) and the disposition records the
     /// reason. Only genuine simulation errors propagate.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell(
+    fn run_cell<'a>(
         &self,
-        name: &str,
-        input: InputSet,
-        kind: SystemKind,
-        art: &CompilerArtifacts,
+        (name, input, spec): &RunKey,
+        build: impl Fn() -> SystemBuilder<'a>,
         t: &CellInput,
-        obs: Option<ObsConfig>,
         fault: Option<FaultAction>,
-        deadline: Option<std::time::Duration>,
+        deadline: Option<Duration>,
     ) -> Result<(SystemRun, Option<String>), SimError> {
         if deadline.is_some_and(|d| d.is_zero()) {
             // The attempt's budget was exhausted before the engine even
@@ -592,20 +618,10 @@ impl Lab {
                 snapshot: DiagnosticSnapshot::default(),
             });
         }
-        let build = || {
-            let mut b = SystemBuilder::new(kind).artifacts(art);
-            if let Some(cfg) = obs {
-                b = b.observe(cfg);
-            }
-            if let Some(d) = deadline {
-                b = b.wall_deadline(d);
-            }
-            b
-        };
         let Some(cp) = self.shared.checkpoints.as_ref() else {
             return Ok((t.run(build())?, None));
         };
-        let path = cp.cell_path(name, input, kind);
+        let path = cp.cell_path(name, *input, spec);
         let mut status = None;
         match load_checkpoint(&path, fault) {
             CheckpointLoad::Missing => {}
@@ -624,7 +640,7 @@ impl Lab {
         }
         if let Some(s) = &status {
             if self.shared.verbose {
-                eprintln!("[lab] {name} {input:?} {}: {s}", kind.label());
+                eprintln!("[lab] {name} {input:?} {}: {s}", spec.label());
             }
         }
         // Cold run, (re-)capturing the checkpoint for the next process.
@@ -646,6 +662,18 @@ impl Lab {
         Ok((run, status))
     }
 
+    /// [`Lab::try_run`] on a first attempt, panicking with the
+    /// [`SimError`] message when the run fails.
+    fn run_spec(&self, name: &str, input: InputSet, spec: &SystemSpec) -> RunStats {
+        match self.try_run(name, input, spec, Attempt::FIRST) {
+            Ok((stats, _)) => stats,
+            Err(e) => panic!(
+                "simulation of {name} {input:?} on {} failed: {e}",
+                spec.label()
+            ),
+        }
+    }
+
     /// Like [`Lab::try_run_on`], for callers that treat a failed
     /// simulation as fatal.
     ///
@@ -653,12 +681,7 @@ impl Lab {
     ///
     /// Panics with the [`SimError`] message when the run fails.
     pub fn run_on(&self, name: &str, input: InputSet, kind: SystemKind) -> RunStats {
-        self.try_run_on(name, input, kind).unwrap_or_else(|e| {
-            panic!(
-                "simulation of {name} {input:?} on {} failed: {e}",
-                kind.label()
-            )
-        })
+        self.run_spec(name, input, &SystemSpec::of(kind))
     }
 
     /// Runs (or returns the cached run of) `name`'s ref input on `kind`.
@@ -666,19 +689,17 @@ impl Lab {
         self.run_on(name, InputSet::Ref, kind)
     }
 
-    /// Speedup of `kind` over the stream-only baseline for one workload.
-    pub fn speedup(&self, name: &str, kind: SystemKind) -> f64 {
+    /// Speedup of `spec` over the stream-only baseline on `name`'s ref
+    /// input.
+    pub fn speedup(&self, name: &str, spec: &SystemSpec) -> f64 {
         let base = self.run(name, SystemKind::StreamOnly).ipc();
-        self.run(name, kind).ipc() / base
+        self.run_spec(name, InputSet::Ref, spec).ipc() / base
     }
 
     /// The [`RunRecord`] of one cached run, if it has been executed.
     pub fn record_for(&self, name: &str, input: InputSet, kind: SystemKind) -> Option<RunRecord> {
-        let key = (name.to_string(), input, kind);
-        let (stats, wall_ms, checkpoint) = self.shared.runs.get(&key)?;
-        let mut r = RunRecord::new(name, input, kind, &stats, wall_ms);
-        r.checkpoint = checkpoint;
-        Some(r)
+        let key = (name.to_string(), input, SystemSpec::of(kind));
+        self.shared.runs.get(&key).map(|entry| record(&key, entry))
     }
 
     /// Records of every successful run executed so far, sorted by
@@ -689,15 +710,18 @@ impl Lab {
             .runs
             .snapshot()
             .into_iter()
-            .map(|((name, input, kind), (stats, wall_ms, checkpoint))| {
-                let mut r = RunRecord::new(&name, input, kind, &stats, wall_ms);
-                r.checkpoint = checkpoint;
-                r
-            })
+            .map(|(key, entry)| record(&key, entry))
             .collect();
         records.sort_by_key(RunRecord::sort_key);
         records
     }
+}
+
+/// The manifest record of one cached run.
+fn record((name, input, spec): &RunKey, (stats, wall_ms, checkpoint): RunEntry) -> RunRecord {
+    let mut r = RunRecord::new(name, *input, spec, &stats, wall_ms);
+    r.checkpoint = checkpoint;
+    r
 }
 
 impl std::fmt::Debug for Lab {

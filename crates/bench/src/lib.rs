@@ -30,7 +30,7 @@ pub mod validate;
 
 pub use difftest::{random_cases, run_suite, DiffCase, DiffFailure, DiffOutcome};
 pub use fault::{FaultAction, FaultPlan};
-pub use lab::{CheckpointConfig, Lab};
+pub use lab::{Attempt, CheckpointConfig, Lab};
 pub use manifest::{
     config_hash, FailureRecord, Manifest, ManifestWriter, RetryInfo, RunOutcome, RunRecord,
 };

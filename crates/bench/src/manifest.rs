@@ -44,13 +44,14 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use sim_core::frame::atomic_write;
 use sim_core::{Json, MachineConfig, RunStats, StatsSummary};
 use workloads::InputSet;
 
 /// Hash of the default machine configuration, recorded in every
-/// [`RunRecord`] so stale manifests are detectable after config changes.
+/// [`RunRecord`] of a system without a configuration edit so stale
+/// manifests are detectable after config changes.
 ///
 /// The snapshot fingerprint ([`sim_core::config_fingerprint`]) of
 /// [`MachineConfig::default`]: not cryptographic, but any field change
@@ -139,7 +140,7 @@ pub struct RunRecord {
     pub workload: String,
     /// Input set, lower-cased (`"train"` / `"ref"` / `"test"`).
     pub input: String,
-    /// System label (see `SystemKind::label`).
+    /// System label (see `SystemSpec::label`).
     pub system: String,
     /// Hash of the machine configuration the run used.
     pub config_hash: u64,
@@ -175,19 +176,20 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Builds a record from a finished run.
+    /// Builds a record from a finished run of `spec`: the system is the
+    /// spec's label and the config hash its configuration's.
     pub fn new(
         workload: &str,
         input: InputSet,
-        kind: SystemKind,
+        spec: &SystemSpec,
         stats: &RunStats,
         wall_ms: f64,
     ) -> Self {
         RunRecord {
             workload: workload.to_string(),
             input: input_label(input),
-            system: kind.label().to_string(),
-            config_hash: config_hash(),
+            system: spec.label(),
+            config_hash: spec.config_hash().unwrap_or_else(config_hash),
             workload_hash: workload_provenance(workload),
             wall_ms,
             stats: stats.summary(),
@@ -625,7 +627,7 @@ mod tests {
         RunRecord::new(
             "mst",
             InputSet::Ref,
-            SystemKind::StreamEcdpThrottled,
+            &SystemSpec::of(SystemKind::StreamEcdpThrottled),
             &stats,
             wall_ms,
         )

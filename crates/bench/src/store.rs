@@ -654,7 +654,7 @@ impl std::fmt::Debug for ResultStore {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use ecdp::system::SystemKind;
+    use ecdp::system::{SystemKind, SystemSpec};
     use sim_core::RunStats;
     use workloads::InputSet;
 
@@ -678,7 +678,7 @@ mod tests {
         RunRecord::new(
             workload,
             InputSet::Test,
-            SystemKind::StreamOnly,
+            &SystemSpec::of(SystemKind::StreamOnly),
             &stats,
             wall_ms,
         )

@@ -25,12 +25,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use sim_core::frame::atomic_write;
 use sim_core::{ErrorClass, Json, RunTrace};
 use workloads::InputSet;
 
-use crate::lab::Lab;
+use crate::lab::{Attempt, Lab};
 use crate::manifest::{
     config_hash, input_label, FailureRecord, ManifestWriter, RetryInfo, RunOutcome, RunRecord,
 };
@@ -303,18 +303,20 @@ pub fn par_map<T: Sync, R: Send + Sync>(
 fn supervise_cell(lab: &Lab, cell: &SweepCell, opts: &SweepOptions<'_>) -> RunOutcome {
     let policy = opts.retry;
     let deadline = policy.deadline();
+    let spec = SystemSpec::of(cell.system);
     let mut attempt_errors: Vec<String> = Vec::new();
     let mut total_backoff_ms = 0u64;
     let mut attempt = 1u32;
     loop {
         let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| match opts.trace_dir {
-            None => lab
-                .try_run_attempt(&cell.workload, cell.input, cell.system, attempt, deadline)
-                .map(|_| None),
-            Some(_) => lab
-                .try_run_traced_attempt(&cell.workload, cell.input, cell.system, attempt, deadline)
-                .map(|(_, trace)| Some(trace)),
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let attempt = Attempt {
+                number: attempt,
+                deadline,
+                traced: opts.trace_dir.is_some(),
+            };
+            lab.try_run(&cell.workload, cell.input, &spec, attempt)
+                .map(|(_, trace)| trace)
         }));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (kind, class, message) = match result {

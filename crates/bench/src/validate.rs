@@ -38,13 +38,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ecdp::SystemKind;
+use ecdp::{SystemKind, SystemSpec};
 use sim_core::{
     check_transition_step, rederive_transition, Aggressiveness, Json, RunStats, ThrottleThresholds,
 };
 use workloads::InputSet;
 
-use crate::lab::Lab;
+use crate::lab::{Attempt, Lab};
 use crate::sweep::{panic_message, par_map};
 
 /// Schema version of `VALIDATE_report.json`. Bump on any change to the
@@ -186,16 +186,11 @@ fn aggressiveness_monotone(
     input: InputSet,
     _: &ThrottleThresholds,
 ) -> Result<String, String> {
-    let art = lab.artifacts(name);
-    let trace = lab.trace(name, input);
     let mut issued_by_level = Vec::new();
     for level in Aggressiveness::ALL {
-        let mut machine = ecdp::SystemBuilder::new(SystemKind::StreamOnly)
-            .artifacts(&art)
-            .build();
-        machine.set_initial_aggressiveness(level);
-        let stats = machine
-            .run(&trace)
+        let spec = SystemSpec::of(SystemKind::StreamOnly).pin(0, level);
+        let (stats, _) = lab
+            .try_run(name, input, &spec, Attempt::FIRST)
             .map_err(|e| format!("stream-only at {level:?} failed: {e}"))?;
         issued_by_level.push((level, total_issued(&stats)));
     }
@@ -247,8 +242,6 @@ fn throttle_bounded_bandwidth(
     input: InputSet,
     _: &ThrottleThresholds,
 ) -> Result<String, String> {
-    let art = lab.artifacts(name);
-    let trace = lab.trace(name, input);
     let mut details = Vec::new();
     for (unthrottled, throttled) in [
         (SystemKind::StreamCdp, SystemKind::StreamCdpThrottled),
@@ -267,18 +260,17 @@ fn throttle_bounded_bandwidth(
         let mut corner = (Aggressiveness::Aggressive, Aggressiveness::Aggressive);
         for stream_level in Aggressiveness::ALL {
             for cdp_level in Aggressiveness::ALL {
-                let mut machine = ecdp::SystemBuilder::new(unthrottled)
-                    .artifacts(&art)
-                    .build();
-                machine
-                    .set_prefetcher_aggressiveness(0, stream_level)
-                    .set_prefetcher_aggressiveness(CDP_INDEX, cdp_level);
-                let stats = machine.run(&trace).map_err(|e| {
-                    format!(
-                        "{} at ({stream_level:?},{cdp_level:?}) failed: {e}",
-                        unthrottled.label()
-                    )
-                })?;
+                let spec = SystemSpec::of(unthrottled)
+                    .pin(0, stream_level)
+                    .pin(CDP_INDEX, cdp_level);
+                let (stats, _) = lab
+                    .try_run(name, input, &spec, Attempt::FIRST)
+                    .map_err(|e| {
+                        format!(
+                            "{} at ({stream_level:?},{cdp_level:?}) failed: {e}",
+                            unthrottled.label()
+                        )
+                    })?;
                 if stats.bus_transfers > envelope {
                     envelope = stats.bus_transfers;
                     corner = (stream_level, cdp_level);
@@ -313,6 +305,15 @@ fn throttle_bounded_bandwidth(
     Ok(details.join(", "))
 }
 
+/// The machine `table3-rederivation` traces: the throttled proposal on
+/// the shrunk L2 and short intervals the observability tests use.
+pub fn table3_spec() -> SystemSpec {
+    let mut cfg = sim_core::MachineConfig::default();
+    cfg.l2.bytes = 64 * 1024;
+    cfg.interval_evictions = 128;
+    SystemSpec::of(SystemKind::StreamEcdpThrottled).config(cfg)
+}
+
 fn table3_rederivation(
     lab: &Lab,
     name: &str,
@@ -324,19 +325,14 @@ fn table3_rederivation(
     // throttled system once with the shrunk L2 / short intervals the
     // observability tests use, so every workload produces a dense
     // Table 3 decision sequence to re-derive.
-    let mut cfg = sim_core::MachineConfig::default();
-    cfg.l2.bytes = 64 * 1024;
-    cfg.interval_evictions = 128;
-    let art = lab.artifacts(name);
-    let run = ecdp::SystemBuilder::new(SystemKind::StreamEcdpThrottled)
-        .artifacts(&art)
-        .config(cfg)
-        .observe(sim_core::ObsConfig::enabled())
-        .run(&lab.trace(name, input))
+    let traced = Attempt {
+        traced: true,
+        ..Attempt::FIRST
+    };
+    let (_, trace) = lab
+        .try_run(name, input, &table3_spec(), traced)
         .map_err(|e| format!("observed run failed: {e}"))?;
-    let trace = run
-        .trace
-        .ok_or("observed run returned no trace".to_string())?;
+    let trace = trace.ok_or("observed run returned no trace".to_string())?;
     if trace.transitions.is_empty() {
         return Err("no throttle transitions recorded even at short intervals".into());
     }

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use bench::{ResultStore, RunRecord};
-use ecdp::system::{SystemBuilder, SystemKind};
+use ecdp::system::{SystemBuilder, SystemKind, SystemSpec};
 use proptest::prelude::*;
 use sim_core::frame::crc32;
 use sim_core::{write_external, ExternalTrace, RunStats, Snapshot, Trace, TraceBuilder};
@@ -158,7 +158,13 @@ fn written_records() -> Vec<RunRecord> {
                 retired_instructions: 999,
                 ..RunStats::default()
             };
-            RunRecord::new(name, InputSet::Test, SystemKind::StreamOnly, &stats, 1.5)
+            RunRecord::new(
+                name,
+                InputSet::Test,
+                &SystemSpec::of(SystemKind::StreamOnly),
+                &stats,
+                1.5,
+            )
         })
         .collect()
 }

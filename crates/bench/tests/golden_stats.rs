@@ -21,7 +21,7 @@ use bench::{
     CheckpointConfig, FailureRecord, FaultAction, FaultPlan, Lab, Manifest, ResultStore,
     RunOutcome, RunRecord, SweepOptions, SweepPlan,
 };
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use workloads::InputSet;
 
 fn golden_path() -> PathBuf {
@@ -185,7 +185,7 @@ fn mixed_manifest_roundtrips_through_golden_write_path() {
     let ok = RunRecord::new(
         "mst",
         InputSet::Test,
-        SystemKind::StreamOnly,
+        &SystemSpec::of(SystemKind::StreamOnly),
         &sim_core::RunStats::default(),
         0.0,
     );

@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use bench::{Lab, Manifest, SweepOptions, SweepPlan};
-use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind};
+use bench::{Attempt, Lab, Manifest, SweepOptions, SweepPlan};
+use ecdp::system::{CompilerArtifacts, SystemBuilder, SystemKind, SystemSpec};
 use sim_core::{Json, MachineConfig, ObsConfig, ThrottleDecision};
 use workloads::{registry, InputSet};
 
@@ -73,9 +73,15 @@ fn assert_json_close(golden: &Json, got: &Json, path: &str) {
 #[test]
 fn smoke_timeseries_matches_golden_snapshot() {
     let lab = Lab::new();
+    let traced = Attempt {
+        traced: true,
+        ..Attempt::FIRST
+    };
+    let spec = SystemSpec::of(SystemKind::StreamCdp);
     let (stats, trace) = lab
-        .try_run_traced("mst", InputSet::Test, SystemKind::StreamCdp)
+        .try_run("mst", InputSet::Test, &spec, traced)
         .expect("smoke cell runs");
+    let trace = trace.expect("a traced attempt returns its trace");
     assert_eq!(
         trace.samples.len() as u64,
         stats.intervals,

@@ -28,7 +28,7 @@ use bench::service::Job;
 use bench::{
     Manifest, ResultStore, RunRecord, SweepOptions, SweepPlan, SweepRequest, SweepService,
 };
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use sim_core::Json;
 use workloads::InputSet;
 
@@ -187,7 +187,7 @@ fn stale_provenance_store_record_is_not_served_as_a_hit() {
     let mut stale = RunRecord::new(
         "svcstale",
         InputSet::Test,
-        SystemKind::StreamOnly,
+        &SystemSpec::of(SystemKind::StreamOnly),
         &sim_core::RunStats::default(),
         1.0,
     );

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use bench::{difftest, CheckpointConfig, FaultPlan, Lab};
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use workloads::InputSet;
 
 /// The tentpole property: for a randomized population of triples, the
@@ -76,7 +76,11 @@ fn checkpoint_store_forks_bit_identically_across_labs() {
         assert_eq!(cold, created, "{name}: creating pass must match cold");
         let record = create_lab.record_for(name, InputSet::Test, kind).unwrap();
         assert_eq!(record.checkpoint.as_deref(), Some("created"), "{name}");
-        assert!(cp.cell_path(name, InputSet::Test, kind).exists(), "{name}");
+        assert!(
+            cp.cell_path(name, InputSet::Test, &SystemSpec::of(kind))
+                .exists(),
+            "{name}"
+        );
 
         let forked = fork_lab.try_run_on(name, InputSet::Test, kind).unwrap();
         assert_eq!(cold, forked, "{name}: forked pass must match cold");
@@ -101,7 +105,7 @@ fn truncated_checkpoint_falls_back_cold_and_heals() {
     Lab::with_checkpoints(FaultPlan::none(), Some(cp.clone()))
         .try_run_on(name, InputSet::Test, kind)
         .unwrap();
-    let path = cp.cell_path(name, InputSet::Test, kind);
+    let path = cp.cell_path(name, InputSet::Test, &SystemSpec::of(kind));
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
 
@@ -137,7 +141,7 @@ fn bit_flipped_checkpoint_is_rejected_by_crc() {
     Lab::with_checkpoints(FaultPlan::none(), Some(cp.clone()))
         .try_run_on(name, InputSet::Test, kind)
         .unwrap();
-    let path = cp.cell_path(name, InputSet::Test, kind);
+    let path = cp.cell_path(name, InputSet::Test, &SystemSpec::of(kind));
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 use bench::{ResultStore, RunRecord};
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_core::RunStats;
@@ -53,7 +53,7 @@ fn record(workload: &str, tag: u64) -> RunRecord {
     RunRecord::new(
         workload,
         InputSet::Test,
-        SystemKind::StreamOnly,
+        &SystemSpec::of(SystemKind::StreamOnly),
         &stats,
         tag as f64,
     )

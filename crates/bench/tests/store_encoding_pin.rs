@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use bench::{ResultStore, RunRecord};
-use ecdp::system::SystemKind;
+use ecdp::system::{SystemKind, SystemSpec};
 use sim_core::{PrefetcherStats, RunStats};
 use workloads::InputSet;
 
@@ -44,11 +44,17 @@ fn pinned_records() -> [RunRecord; 2] {
         ..RunStats::default()
     };
     [
-        RunRecord::new("mst", InputSet::Test, SystemKind::NoPrefetch, &plain, 12.5),
+        RunRecord::new(
+            "mst",
+            InputSet::Test,
+            &SystemSpec::of(SystemKind::NoPrefetch),
+            &plain,
+            12.5,
+        ),
         RunRecord::new(
             "health",
             InputSet::Test,
-            SystemKind::StreamOnly,
+            &SystemSpec::of(SystemKind::StreamOnly),
             &prefetching,
             7.25,
         ),

@@ -56,4 +56,4 @@ pub mod system;
 pub use cost::HardwareCost;
 pub use hints::{HintTable, HintVector, HINTS_SCHEMA_VERSION};
 pub use profile::{profile_workload, PgProfile, PgUsage};
-pub use system::{CompilerArtifacts, SystemBuilder, SystemKind, SystemRun};
+pub use system::{CompilerArtifacts, HintSource, SystemBuilder, SystemKind, SystemRun, SystemSpec};

@@ -14,9 +14,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use sim_core::{
-    Addr, MachineConfig, PgTag, PrefetchObserver, PrefetchRequest, PrefetcherId, Trace,
-};
+use sim_core::{Addr, PgTag, PrefetchObserver, PrefetchRequest, PrefetcherId, Trace};
 
 use crate::hints::{HintTable, HintVector};
 use crate::system::{SystemBuilder, SystemKind};
@@ -205,10 +203,15 @@ impl PrefetchObserver for PgCollector {
 }
 
 /// Runs the profiling pass on `trace` (normally a *train*-input trace):
-/// baseline machine, stream prefetcher + unfiltered CDP, no throttling.
-/// Returns the measured pointer-group profile.
+/// baseline machine, stream prefetcher + unfiltered CDP (`stream+cdp`),
+/// no throttling. Returns the measured pointer-group profile.
 pub fn profile_workload(trace: &Trace) -> PgProfile {
-    profile_workload_with(trace, MachineConfig::default())
+    // A wedged profiling run is a simulator bug; surface it as a
+    // panic so the experiment harness records the cell as failed.
+    let (_, profile) = SystemBuilder::new(SystemKind::StreamCdp)
+        .run_profiled(trace)
+        .expect("profiling run failed");
+    profile
 }
 
 /// Observer for the paper's *second* profiling implementation (§3):
@@ -276,20 +279,6 @@ pub fn informing_profile(trace: &Trace) -> PgProfile {
         pgs,
         min_samples: 4,
     }
-}
-
-/// [`profile_workload`] with an explicit machine configuration: the
-/// `stream+cdp` system (stream prefetcher + unfiltered CDP) run through
-/// [`SystemBuilder::run_profiled`], which keeps `oracle_lds` off as that
-/// system requires.
-pub fn profile_workload_with(trace: &Trace, config: MachineConfig) -> PgProfile {
-    // A wedged profiling run is a simulator bug; surface it as a
-    // panic so the experiment harness records the cell as failed.
-    let (_, profile) = SystemBuilder::new(SystemKind::StreamCdp)
-        .config(config)
-        .run_profiled(trace)
-        .expect("profiling run failed");
-    profile
 }
 
 #[cfg(test)]

@@ -4,22 +4,23 @@
 //! prefetchers, scan filters and throttling policy together and runs a
 //! trace through the result, optionally attaching the observability layer
 //! ([`sim_core::ObsConfig`]) or a [`sim_core::PrefetchObserver`].
-//! Multi-core experiments build one [`core_setup`] per core and hand them
-//! to [`sim_core::Machine::with_cores`].
+//! [`SystemSpec`] is a kind plus the edits the variant studies make (a
+//! machine configuration, a hint source, pinned aggressiveness levels,
+//! CDP compare bits, an added GHB); it is the key every single-core run
+//! is memoized under. Multi-core experiments build one [`core_setup`] per
+//! core and hand them to [`sim_core::Machine::with_cores`].
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use prefetch::{
-    AllowAll, AvdConfig, AvdPrefetcher, CdpConfig, ContentDirectedPrefetcher, DbpConfig,
-    DependenceBasedPrefetcher, FilterConfig, GhbConfig, GhbPrefetcher, JumpPointerConfig,
-    JumpPointerPrefetcher, MarkovConfig, MarkovPrefetcher, NextLinePrefetcher,
-    PollutionFilteredPrefetcher, ScanFilter, StreamConfig, StreamPrefetcher, StrideConfig,
-    StridePrefetcher,
+    AllowAll, AvdPrefetcher, CdpConfig, ContentDirectedPrefetcher, DependenceBasedPrefetcher,
+    GhbPrefetcher, JumpPointerPrefetcher, MarkovPrefetcher, NextLinePrefetcher,
+    PollutionFilteredPrefetcher, ScanFilter, StreamPrefetcher, StridePrefetcher,
 };
 use sim_core::{
-    CoreSetup, Machine, MachineConfig, ObsConfig, PrefetchObserver, PrefetcherId, RunStats,
-    RunTrace, SimError, Snapshot, Trace, ValidateConfig,
+    Aggressiveness, CoreSetup, Machine, MachineConfig, ObsConfig, PrefetchObserver, Prefetcher,
+    PrefetcherId, RunStats, RunTrace, SimError, Snapshot, ThrottlePolicy, Trace, ValidateConfig,
 };
 use throttle::{CoordinatedThrottle, FdpThrottle, PabSelector, Switchable};
 
@@ -130,211 +131,275 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// Every system, in presentation order. `ALL[i].label()` round-trips
-    /// through [`SystemKind::from_label`].
-    pub const ALL: [SystemKind; 22] = [
-        SystemKind::NoPrefetch,
-        SystemKind::StreamOnly,
-        SystemKind::OracleLds,
-        SystemKind::StreamCdp,
-        SystemKind::StreamEcdp,
-        SystemKind::StreamCdpThrottled,
-        SystemKind::StreamEcdpThrottled,
-        SystemKind::StreamDbp,
-        SystemKind::StreamMarkov,
-        SystemKind::GhbAlone,
-        SystemKind::GhbEcdp,
-        SystemKind::GhbEcdpThrottled,
-        SystemKind::StreamCdpHwFilter,
-        SystemKind::StreamCdpHwFilterThrottled,
-        SystemKind::StreamEcdpFdp,
-        SystemKind::StreamEcdpPab,
-        SystemKind::StreamGrpCdp,
-        SystemKind::StreamLoadFilterCdp,
-        SystemKind::NextLineOnly,
-        SystemKind::StrideOnly,
-        SystemKind::StreamJumpPointer,
-        SystemKind::StreamAvd,
+    /// Every system with its label and whether its machine reads the
+    /// [`CompilerArtifacts`], in presentation (declaration) order.
+    const TABLE: [(Self, &'static str, bool); 22] = [
+        (Self::NoPrefetch, "no-pf", false),
+        (Self::StreamOnly, "stream", false),
+        (Self::OracleLds, "stream+oracle", false),
+        (Self::StreamCdp, "stream+cdp", false),
+        (Self::StreamEcdp, "stream+ecdp", true),
+        (Self::StreamCdpThrottled, "stream+cdp+throttle", false),
+        (Self::StreamEcdpThrottled, "stream+ecdp+throttle", true),
+        (Self::StreamDbp, "stream+dbp", false),
+        (Self::StreamMarkov, "stream+markov", false),
+        (Self::GhbAlone, "ghb", false),
+        (Self::GhbEcdp, "ghb+ecdp", true),
+        (Self::GhbEcdpThrottled, "ghb+ecdp+throttle", true),
+        (Self::StreamCdpHwFilter, "stream+cdp+hwfilter", false),
+        (
+            Self::StreamCdpHwFilterThrottled,
+            "stream+cdp+hwfilter+throttle",
+            false,
+        ),
+        (Self::StreamEcdpFdp, "stream+ecdp+fdp", true),
+        (Self::StreamEcdpPab, "stream+ecdp+pab", true),
+        (Self::StreamGrpCdp, "stream+grp-cdp", true),
+        (Self::StreamLoadFilterCdp, "stream+loadfilter-cdp", true),
+        (Self::NextLineOnly, "next-line", false),
+        (Self::StrideOnly, "stride", false),
+        (Self::StreamJumpPointer, "stream+jump", false),
+        (Self::StreamAvd, "stream+avd", false),
     ];
+
+    /// Every system, in presentation order; each label round-trips
+    /// through [`SystemKind::from_label`].
+    pub fn all() -> impl Iterator<Item = SystemKind> {
+        Self::TABLE.iter().map(|&(kind, ..)| kind)
+    }
 
     /// Inverse of [`SystemKind::label`]; `None` for unknown labels.
     pub fn from_label(label: &str) -> Option<SystemKind> {
-        SystemKind::ALL.into_iter().find(|k| k.label() == label)
+        SystemKind::all().find(|k| k.label() == label)
+    }
+
+    /// True for the systems whose machine reads the
+    /// [`CompilerArtifacts`] (hint vectors or per-load gates); every other
+    /// system assembles the same machine whatever artifacts it is given.
+    pub fn is_profile_guided(self) -> bool {
+        Self::TABLE[self as usize].2
     }
 
     /// Short label used in experiment tables.
     pub fn label(self) -> &'static str {
-        match self {
-            SystemKind::NoPrefetch => "no-pf",
-            SystemKind::StreamOnly => "stream",
-            SystemKind::OracleLds => "stream+oracle",
-            SystemKind::StreamCdp => "stream+cdp",
-            SystemKind::StreamEcdp => "stream+ecdp",
-            SystemKind::StreamCdpThrottled => "stream+cdp+throttle",
-            SystemKind::StreamEcdpThrottled => "stream+ecdp+throttle",
-            SystemKind::StreamDbp => "stream+dbp",
-            SystemKind::StreamMarkov => "stream+markov",
-            SystemKind::GhbAlone => "ghb",
-            SystemKind::GhbEcdp => "ghb+ecdp",
-            SystemKind::GhbEcdpThrottled => "ghb+ecdp+throttle",
-            SystemKind::StreamCdpHwFilter => "stream+cdp+hwfilter",
-            SystemKind::StreamCdpHwFilterThrottled => "stream+cdp+hwfilter+throttle",
-            SystemKind::StreamEcdpFdp => "stream+ecdp+fdp",
-            SystemKind::StreamEcdpPab => "stream+ecdp+pab",
-            SystemKind::StreamGrpCdp => "stream+grp-cdp",
-            SystemKind::StreamLoadFilterCdp => "stream+loadfilter-cdp",
-            SystemKind::NextLineOnly => "next-line",
-            SystemKind::StrideOnly => "stride",
-            SystemKind::StreamJumpPointer => "stream+jump",
-            SystemKind::StreamAvd => "stream+avd",
-        }
+        Self::TABLE[self as usize].1
     }
-}
-
-fn stream() -> Box<StreamPrefetcher> {
-    Box::new(StreamPrefetcher::new(
-        PrefetcherId(0),
-        StreamConfig::default(),
-    ))
-}
-
-fn cdp(filter: Box<dyn ScanFilter>) -> Box<ContentDirectedPrefetcher> {
-    Box::new(ContentDirectedPrefetcher::new(
-        PrefetcherId(1),
-        CdpConfig::default(),
-        filter,
-    ))
 }
 
 /// Builds the per-core prefetcher/throttle setup for `kind`.
 pub fn core_setup(kind: SystemKind, artifacts: &CompilerArtifacts) -> CoreSetup {
-    let mut setup = CoreSetup::bare();
-    match kind {
-        SystemKind::NoPrefetch => {}
-        SystemKind::StreamOnly | SystemKind::OracleLds => {
-            setup.prefetchers.push(stream());
+    assemble(kind, artifacts, CdpConfig::default())
+}
+
+/// [`core_setup`] with every content-directed prefetcher built from
+/// `cdp_config`. Registration order is the [`PrefetcherId`] order.
+fn assemble(kind: SystemKind, artifacts: &CompilerArtifacts, cdp_config: CdpConfig) -> CoreSetup {
+    use SystemKind::*;
+    type Pf = Box<dyn Prefetcher>;
+    let (p0, p1) = (PrefetcherId(0), PrefetcherId(1));
+    let stream = || -> Pf { Box::new(StreamPrefetcher::new(p0, Default::default())) };
+    let ghb = || -> Pf { Box::new(GhbPrefetcher::new(p0, Default::default())) };
+    let cdp = |filter: Box<dyn ScanFilter>| -> Pf {
+        Box::new(ContentDirectedPrefetcher::new(p1, cdp_config, filter))
+    };
+    let ecdp = || cdp(Box::new(artifacts.hints.clone()));
+    let gated = |loads: &HashSet<u32>| cdp(Box::new(PerLoadGate::new(loads.clone())));
+    let with_stream = |second: Pf| vec![stream(), second];
+    let prefetchers: Vec<Pf> = match kind {
+        NoPrefetch => Vec::new(),
+        StreamOnly | OracleLds => vec![stream()],
+        StreamCdp | StreamCdpThrottled => with_stream(cdp(Box::new(AllowAll))),
+        StreamEcdp | StreamEcdpThrottled | StreamEcdpFdp => with_stream(ecdp()),
+        StreamDbp => with_stream(Box::new(DependenceBasedPrefetcher::new(
+            p1,
+            Default::default(),
+        ))),
+        StreamMarkov => with_stream(Box::new(MarkovPrefetcher::new(p1, Default::default()))),
+        GhbAlone => vec![ghb()],
+        GhbEcdp | GhbEcdpThrottled => vec![ghb(), ecdp()],
+        StreamCdpHwFilter | StreamCdpHwFilterThrottled => {
+            let raw = cdp(Box::new(AllowAll));
+            with_stream(Box::new(PollutionFilteredPrefetcher::new(
+                raw,
+                Default::default(),
+            )))
         }
-        SystemKind::StreamCdp => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(cdp(Box::new(AllowAll)));
-        }
-        SystemKind::StreamEcdp => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(cdp(Box::new(artifacts.hints.clone())));
-        }
-        SystemKind::StreamCdpThrottled => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(cdp(Box::new(AllowAll)));
-            setup.throttle = Box::new(CoordinatedThrottle::default());
-        }
-        SystemKind::StreamEcdpThrottled => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(cdp(Box::new(artifacts.hints.clone())));
-            setup.throttle = Box::new(CoordinatedThrottle::default());
-        }
-        SystemKind::StreamDbp => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(Box::new(DependenceBasedPrefetcher::new(
-                    PrefetcherId(1),
-                    DbpConfig::default(),
-                )));
-        }
-        SystemKind::StreamMarkov => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(Box::new(MarkovPrefetcher::new(
-                PrefetcherId(1),
-                MarkovConfig::default(),
-            )));
-        }
-        SystemKind::GhbAlone => {
-            setup.prefetchers.push(Box::new(GhbPrefetcher::new(
-                PrefetcherId(0),
-                GhbConfig::default(),
-            )));
-        }
-        SystemKind::GhbEcdp | SystemKind::GhbEcdpThrottled => {
-            setup.prefetchers.push(Box::new(GhbPrefetcher::new(
-                PrefetcherId(0),
-                GhbConfig::default(),
-            )));
-            setup
-                .prefetchers
-                .push(cdp(Box::new(artifacts.hints.clone())));
-            if kind == SystemKind::GhbEcdpThrottled {
-                setup.throttle = Box::new(CoordinatedThrottle::default());
-            }
-        }
-        SystemKind::StreamCdpHwFilter | SystemKind::StreamCdpHwFilterThrottled => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(Box::new(PollutionFilteredPrefetcher::new(
-                    cdp(Box::new(AllowAll)),
-                    FilterConfig::default(),
-                )));
-            if kind == SystemKind::StreamCdpHwFilterThrottled {
-                setup.throttle = Box::new(CoordinatedThrottle::default());
-            }
-        }
-        SystemKind::StreamEcdpFdp => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(cdp(Box::new(artifacts.hints.clone())));
-            setup.throttle = Box::new(FdpThrottle::default());
-        }
-        SystemKind::StreamEcdpPab => {
+        StreamEcdpPab => {
             let (s, sf) = Switchable::new(stream());
-            let (c, cf) = Switchable::new(cdp(Box::new(artifacts.hints.clone())));
-            setup.prefetchers.push(Box::new(s));
-            setup.prefetchers.push(Box::new(c));
-            setup.throttle = Box::new(PabSelector::new(vec![sf, cf]));
+            let (c, cf) = Switchable::new(ecdp());
+            return CoreSetup {
+                prefetchers: vec![Box::new(s), Box::new(c)],
+                throttle: Box::new(PabSelector::new(vec![sf, cf])),
+            };
         }
-        SystemKind::StreamGrpCdp => {
-            setup.prefetchers.push(stream());
-            setup
-                .prefetchers
-                .push(cdp(Box::new(PerLoadGate::new(artifacts.grp_loads.clone()))));
+        StreamGrpCdp => with_stream(gated(&artifacts.grp_loads)),
+        StreamLoadFilterCdp => with_stream(gated(&artifacts.accurate_loads)),
+        NextLineOnly => vec![Box::new(NextLinePrefetcher::new(p0))],
+        StrideOnly => vec![Box::new(StridePrefetcher::new(p0, Default::default()))],
+        StreamJumpPointer => {
+            with_stream(Box::new(JumpPointerPrefetcher::new(p1, Default::default())))
         }
-        SystemKind::StreamLoadFilterCdp => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(cdp(Box::new(PerLoadGate::new(
-                artifacts.accurate_loads.clone(),
-            ))));
-        }
-        SystemKind::NextLineOnly => {
-            setup
-                .prefetchers
-                .push(Box::new(NextLinePrefetcher::new(PrefetcherId(0))));
-        }
-        SystemKind::StrideOnly => {
-            setup.prefetchers.push(Box::new(StridePrefetcher::new(
-                PrefetcherId(0),
-                StrideConfig::default(),
-            )));
-        }
-        SystemKind::StreamJumpPointer => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(Box::new(JumpPointerPrefetcher::new(
-                PrefetcherId(1),
-                JumpPointerConfig::default(),
-            )));
-        }
-        SystemKind::StreamAvd => {
-            setup.prefetchers.push(stream());
-            setup.prefetchers.push(Box::new(AvdPrefetcher::new(
-                PrefetcherId(1),
-                AvdConfig::default(),
-            )));
+        StreamAvd => with_stream(Box::new(AvdPrefetcher::new(p1, Default::default()))),
+    };
+    let throttle: Box<dyn ThrottlePolicy> = match kind {
+        StreamCdpThrottled
+        | StreamEcdpThrottled
+        | GhbEcdpThrottled
+        | StreamCdpHwFilterThrottled => Box::new(CoordinatedThrottle::default()),
+        StreamEcdpFdp => Box::new(FdpThrottle::default()),
+        _ => CoreSetup::bare().throttle,
+    };
+    CoreSetup {
+        prefetchers,
+        throttle,
+    }
+}
+
+/// Where a profile-guided system's hint vectors come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HintSource {
+    /// The train-input profile at the paper's majority bar (footnote 4).
+    Train,
+    /// The train-input profile at another usefulness bar, in percent: a
+    /// pointer group is beneficial when more than this share of its
+    /// prefetches are useful.
+    TrainAt(u8),
+    /// The ref-input profile (§6.1.6's same-input experiment).
+    Ref,
+}
+
+/// A [`SystemKind`] plus the edits the variant studies make: a machine
+/// configuration, a hint source, per-slot aggressiveness pins, CDP
+/// compare bits and an added GHB prefetcher.
+///
+/// Edits are normalized: one that restates the default (8 compare bits,
+/// the default configuration, the 50% bar, a hint source on a system
+/// that reads no hints) leaves the spec unchanged, so such a variant is
+/// the same run as [`SystemSpec::of`] its kind. Every distinct spec has a
+/// distinct [`SystemSpec::label`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SystemSpec {
+    kind: SystemKind,
+    /// A configuration edit and its fingerprint.
+    config: Option<(u64, Arc<MachineConfig>)>,
+    hints: HintSource,
+    pins: [Option<Aggressiveness>; 3],
+    compare_bits: Option<u32>,
+    ghb: bool,
+}
+
+/// Hashes the configuration edit by its fingerprint alone, so a lookup
+/// never hashes a `MachineConfig`.
+impl std::hash::Hash for SystemSpec {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let key = (self.kind, self.config_hash(), self.hints, self.pins);
+        (key, self.compare_bits, self.ghb).hash(state);
+    }
+}
+
+impl SystemSpec {
+    /// Exactly the machine of `kind`, with the default configuration and
+    /// train-profile hints.
+    pub const fn of(kind: SystemKind) -> Self {
+        SystemSpec {
+            kind,
+            config: None,
+            hints: HintSource::Train,
+            pins: [None; 3],
+            compare_bits: None,
+            ghb: false,
         }
     }
-    setup
+
+    /// Runs on `config` instead of the default configuration.
+    pub fn config(mut self, config: MachineConfig) -> Self {
+        self.config = (config != MachineConfig::default())
+            .then(|| (sim_core::config_fingerprint(&config), Arc::new(config)));
+        self
+    }
+
+    /// Takes the hint vectors from `source`.
+    pub fn hints(mut self, source: HintSource) -> Self {
+        self.hints = match source {
+            _ if !self.kind.is_profile_guided() => HintSource::Train,
+            HintSource::TrainAt(50) => HintSource::Train,
+            source => source,
+        };
+        self
+    }
+
+    /// Pins prefetcher `slot` (registration index, one of the first
+    /// three) at `level`.
+    pub fn pin(mut self, slot: usize, level: Aggressiveness) -> Self {
+        self.pins[slot] = Some(level);
+        self
+    }
+
+    /// Builds every content-directed prefetcher with `bits` compare bits
+    /// (§5 fixes 8).
+    pub fn compare_bits(mut self, bits: u32) -> Self {
+        self.compare_bits = (bits != CdpConfig::default().compare_bits).then_some(bits);
+        self
+    }
+
+    /// Adds a GHB G/DC prefetcher after the kind's own prefetchers.
+    pub fn with_ghb(mut self) -> Self {
+        self.ghb = true;
+        self
+    }
+
+    /// Where the hint vectors come from; `None` for a system that reads
+    /// no compiler artifacts.
+    pub fn hint_source(&self) -> Option<HintSource> {
+        self.kind.is_profile_guided().then_some(self.hints)
+    }
+
+    /// Fingerprint of the configuration edit; `None` when the spec runs
+    /// on the default configuration.
+    pub fn config_hash(&self) -> Option<u64> {
+        self.config.as_ref().map(|c| c.0)
+    }
+
+    /// The kind's label plus one `+` suffix per edit: `cfg.<hash>`,
+    /// `ref-profile` or `bar<percent>`, `bits<n>`, `ghb` and
+    /// `pin<slot>.<level>`. Labels use only `[a-z0-9+._-]`, so each is a
+    /// fault-plan selector and a single path component.
+    pub fn label(&self) -> String {
+        if *self == Self::of(self.kind) {
+            return self.kind.label().to_string();
+        }
+        let mut parts = vec![self.kind.label().to_string()];
+        parts.extend(self.config_hash().map(|hash| format!("cfg.{hash:016x}")));
+        parts.extend(match self.hints {
+            HintSource::Train => None,
+            HintSource::TrainAt(bar) => Some(format!("bar{bar}")),
+            HintSource::Ref => Some("ref-profile".to_string()),
+        });
+        parts.extend(self.compare_bits.map(|bits| format!("bits{bits}")));
+        parts.extend(self.ghb.then(|| "ghb".to_string()));
+        for (slot, level) in self.pins.iter().enumerate() {
+            parts.extend(level.map(|l| format!("pin{slot}.{}", format!("{l:?}").to_lowercase())));
+        }
+        parts.join("+")
+    }
+
+    /// The per-core setup of this spec on `artifacts`.
+    fn core_setup(&self, artifacts: &CompilerArtifacts) -> CoreSetup {
+        let mut cdp = CdpConfig::default();
+        cdp.compare_bits = self.compare_bits.unwrap_or(cdp.compare_bits);
+        let mut setup = assemble(self.kind, artifacts, cdp);
+        if self.ghb {
+            let id = PrefetcherId(setup.prefetchers.len() as u8);
+            let ghb = GhbPrefetcher::new(id, Default::default());
+            setup.prefetchers.push(Box::new(ghb));
+        }
+        for (slot, level) in self.pins.iter().enumerate() {
+            if let Some(level) = level {
+                setup.prefetchers[slot].set_aggressiveness(*level);
+            }
+        }
+        setup
+    }
 }
 
 /// The outcome of a [`SystemBuilder`] run: run statistics plus, when the
@@ -388,9 +453,10 @@ impl PartialEq for SystemRun {
 /// # Ok(()) }
 /// ```
 pub struct SystemBuilder<'a> {
-    kind: SystemKind,
+    spec: SystemSpec,
     artifacts: Option<&'a CompilerArtifacts>,
-    config: Arc<MachineConfig>,
+    /// Set by [`SystemBuilder::config`]; else the spec's configuration.
+    config: Option<Arc<MachineConfig>>,
     observer: Option<Box<dyn PrefetchObserver>>,
     obs: ObsConfig,
     validate: Option<ValidateConfig>,
@@ -405,10 +471,17 @@ impl<'a> SystemBuilder<'a> {
     /// Starts a builder for `kind` with the default configuration
     /// (Table 5), empty compiler artifacts and observability disabled.
     pub fn new(kind: SystemKind) -> Self {
+        Self::from_spec(SystemSpec::of(kind))
+    }
+
+    /// Starts a builder for `spec`: its kind, prefetcher edits and
+    /// configuration (Table 5 unless the spec edits it). The spec's hint
+    /// source is the caller's to resolve into [`SystemBuilder::artifacts`].
+    pub fn from_spec(spec: SystemSpec) -> Self {
         SystemBuilder {
-            kind,
+            config: None,
+            spec,
             artifacts: None,
-            config: Arc::new(MachineConfig::default()),
             observer: None,
             obs: ObsConfig::default(),
             validate: None,
@@ -433,7 +506,7 @@ impl<'a> SystemBuilder<'a> {
     /// already-shared `Arc<MachineConfig>` (the latter avoids a deep copy
     /// when many builders reuse one config).
     pub fn config(mut self, config: impl Into<Arc<MachineConfig>>) -> Self {
-        self.config = config.into();
+        self.config = Some(config.into());
         self
     }
 
@@ -512,14 +585,15 @@ impl<'a> SystemBuilder<'a> {
     /// Assembles the machine without running it.
     pub fn build(self) -> Machine {
         let empty = CompilerArtifacts::empty();
-        let mut config = self.config;
-        let oracle = self.kind == SystemKind::OracleLds;
+        let spec_config = self.spec.config.as_ref().map(|c| Arc::clone(&c.1));
+        let mut config = self.config.or(spec_config).unwrap_or_default();
+        let oracle = self.spec.kind == SystemKind::OracleLds;
         // Only unshare the config when the flag actually differs, so
         // sweep harnesses sharing one Arc across cells keep sharing it.
         if config.oracle_lds != oracle {
             Arc::make_mut(&mut config).oracle_lds = oracle;
         }
-        let setup = core_setup(self.kind, self.artifacts.unwrap_or(&empty));
+        let setup = self.spec.core_setup(self.artifacts.unwrap_or(&empty));
         let mut machine = Machine::with_cores(config, vec![setup]);
         if let Some(observer) = self.observer {
             machine.set_observer(observer);
@@ -543,12 +617,20 @@ impl<'a> SystemBuilder<'a> {
     /// budget, invariant violation) so sweep harnesses can record the
     /// cell as failed instead of aborting the process.
     pub fn run(self, trace: &Trace) -> Result<SystemRun, SimError> {
+        self.drive(|machine| machine.run(trace))
+    }
+
+    /// Builds the machine, forks it when asked to, and runs it with `run`.
+    fn drive(
+        self,
+        run: impl FnOnce(&mut Machine) -> Result<RunStats, SimError>,
+    ) -> Result<SystemRun, SimError> {
         let fork = self.fork_from;
         let mut machine = self.build();
         if let Some(snapshot) = fork {
             machine.fork_from(snapshot)?;
         }
-        let stats = machine.run(trace)?;
+        let stats = run(&mut machine)?;
         Ok(SystemRun {
             stats,
             trace: machine.take_run_trace(),
@@ -574,17 +656,7 @@ impl<'a> SystemBuilder<'a> {
         self,
         trace: &mut sim_core::stream::ExternalTrace,
     ) -> Result<SystemRun, SimError> {
-        let fork = self.fork_from;
-        let mut machine = self.build();
-        if let Some(snapshot) = fork {
-            machine.fork_from(snapshot)?;
-        }
-        let stats = machine.run_streamed(trace)?;
-        Ok(SystemRun {
-            stats,
-            trace: machine.take_run_trace(),
-            snapshot: machine.take_snapshot(),
-        })
+        self.drive(|machine| machine.run_streamed(trace))
     }
 
     /// Like [`SystemBuilder::run`], but also collects the pointer-group
@@ -650,7 +722,7 @@ mod tests {
 
     #[test]
     fn all_kinds_build() {
-        for kind in SystemKind::ALL {
+        for kind in SystemKind::all() {
             let _ = SystemBuilder::new(kind).build();
             assert!(!kind.label().is_empty());
         }
@@ -763,10 +835,80 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for kind in SystemKind::ALL {
+        for kind in SystemKind::all() {
             assert_eq!(SystemKind::from_label(kind.label()), Some(kind));
         }
         assert_eq!(SystemKind::from_label("no-such-system"), None);
+    }
+
+    #[test]
+    fn spec_labels_are_distinct_and_path_safe() {
+        let cfg = MachineConfig {
+            interval_evictions: 1024,
+            ..MachineConfig::default()
+        };
+        let mut specs = Vec::new();
+        for kind in SystemKind::all() {
+            let of = SystemSpec::of(kind);
+            assert_eq!(of.label(), kind.label());
+            assert_eq!(of.config_hash(), None);
+            specs.extend([
+                of.clone(),
+                of.clone().config(cfg.clone()),
+                of.clone().hints(HintSource::TrainAt(25)),
+                of.clone().hints(HintSource::Ref),
+                of.clone().compare_bits(12),
+                of.clone().with_ghb(),
+                of.clone().pin(0, Aggressiveness::Moderate),
+                of.clone().pin(1, Aggressiveness::Moderate),
+                of.clone()
+                    .pin(0, Aggressiveness::Aggressive)
+                    .pin(1, Aggressiveness::VeryConservative),
+                of.with_ghb().hints(HintSource::Ref).compare_bits(4),
+            ]);
+        }
+        let distinct: HashSet<SystemSpec> = specs.iter().cloned().collect();
+        let labels: HashSet<String> = distinct.iter().map(SystemSpec::label).collect();
+        assert_eq!(labels.len(), distinct.len(), "one label per distinct spec");
+        for label in &labels {
+            assert!(
+                label
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"+._-".contains(&b)),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn edits_restating_the_default_leave_the_spec_unchanged() {
+        let of = SystemSpec::of(SystemKind::StreamEcdpThrottled);
+        assert_eq!(of.clone().compare_bits(8), of);
+        assert_eq!(of.clone().config(MachineConfig::default()), of);
+        assert_eq!(of.clone().hints(HintSource::TrainAt(50)), of);
+        let cdp = SystemSpec::of(SystemKind::StreamCdp);
+        assert_eq!(
+            cdp.clone().hints(HintSource::Ref),
+            cdp,
+            "CDP reads no hints"
+        );
+        assert_ne!(of.clone().hints(HintSource::Ref), of);
+    }
+
+    #[test]
+    fn systems_that_are_not_profile_guided_ignore_their_artifacts() {
+        let a = artifacts_for(&workloads::olden::Mst.generate(InputSet::Train));
+        assert!(!a.hints.is_empty() && !a.grp_loads.is_empty());
+        let t = workloads::olden::Mst.generate(InputSet::Test);
+        for kind in SystemKind::all().filter(|k| !k.is_profile_guided()) {
+            let empty = run_system(kind, &t, &CompilerArtifacts::empty()).expect("run");
+            assert_eq!(
+                run_system(kind, &t, &a).expect("run"),
+                empty,
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]

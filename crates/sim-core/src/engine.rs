@@ -1648,9 +1648,8 @@ pub const WALL_DEADLINE_POLL_ITERS: u32 = 1 << 14;
 /// [`Machine::add_prefetcher`] (registration order defines
 /// [`PrefetcherId`]s), then call [`Machine::run`]. [`Machine::with_cores`]
 /// builds an N-core chip from per-core [`CoreSetup`]s, run with
-/// [`Machine::run_cores`]. The per-core setters (prefetchers, throttle,
-/// aggressiveness) address core 0; every other setting applies to the
-/// whole chip.
+/// [`Machine::run_cores`]. The per-core setters (prefetchers, throttle)
+/// address core 0; every other setting applies to the whole chip.
 ///
 /// Both shapes run the same cycle loop. Only the end-of-run rule depends
 /// on the core count: one core drains its in-flight traffic and reports
@@ -1785,31 +1784,6 @@ impl Machine {
     /// generating contention, so it does not apply there.
     pub fn set_validate(&mut self, cfg: crate::validate::ValidateConfig) -> &mut Self {
         self.validate_config = Some(cfg);
-        self
-    }
-
-    /// Sets every prefetcher of core 0 to `level` (e.g. to pin a static
-    /// level for differential experiments; the default is each
-    /// prefetcher's own initial level).
-    pub fn set_initial_aggressiveness(&mut self, level: Aggressiveness) -> &mut Self {
-        for p in &mut self.cores[0].prefetchers {
-            p.set_aggressiveness(level);
-        }
-        self
-    }
-
-    /// Sets one of core 0's prefetchers to `level` by registration index
-    /// (for differential experiments over mixed static-level corners).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range for the registered prefetchers.
-    pub fn set_prefetcher_aggressiveness(
-        &mut self,
-        index: usize,
-        level: Aggressiveness,
-    ) -> &mut Self {
-        self.cores[0].prefetchers[index].set_aggressiveness(level);
         self
     }
 

@@ -116,6 +116,39 @@ fn injected_fault_fails_the_properties_that_run_it() {
     }
 }
 
+/// A fault plan reaches the property runs through their labels: naming
+/// one static-level corner fails exactly the property that runs it, on
+/// that workload.
+#[test]
+fn a_fault_on_one_corner_fails_only_aggressiveness_monotone() {
+    use ecdp::{SystemKind, SystemSpec};
+    use sim_core::Aggressiveness;
+
+    let corner = SystemSpec::of(SystemKind::StreamOnly).pin(0, Aggressiveness::Moderate);
+    assert_eq!(corner.label(), "stream+pin0.moderate");
+    let mut faults = FaultPlan::none();
+    faults.push(FaultAction::Panic, "health", "test", &corner.label());
+    let names: Vec<String> = ["mst", "health"].iter().map(ToString::to_string).collect();
+    let report = run_conformance(
+        &Lab::with_faults(faults),
+        &names,
+        InputSet::Test,
+        &ThrottleThresholds::default(),
+        names.len(),
+    );
+    for r in &report.results {
+        let hit = r.workload == "health" && r.property == "aggressiveness-monotone";
+        assert_eq!(
+            r.passed, !hit,
+            "{}/{}: {}",
+            r.workload, r.property, r.detail
+        );
+        if hit {
+            assert!(r.detail.contains("stream+pin0.moderate"), "{}", r.detail);
+        }
+    }
+}
+
 /// With the `validate` feature on, a deliberately broken threshold table
 /// injected through [`ecdp::SystemBuilder::validate`] must surface as an
 /// invariant-violation error, while the paper configuration sails
